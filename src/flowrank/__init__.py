@@ -23,10 +23,10 @@ from .model import (
 from .ranktest import (
     CensoredSeries,
     TestOutcome,
-    detect,
     pvalue,
     score_pair,
     statistic,
+    statistic_batch,
     statistic_uncensored,
 )
 
@@ -44,11 +44,11 @@ __all__ = [
     "TestOutcome",
     "WindowBatch",
     "WindowConfig",
-    "detect",
     "metric_key_value",
     "pvalue",
     "score_pair",
     "statistic",
+    "statistic_batch",
     "statistic_uncensored",
     "__version__",
 ]

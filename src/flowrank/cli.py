@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--buckets", type=int, default=17, help="sketch buckets K")
     d.add_argument("--seed", type=int, default=0, help="hash coefficient seed")
     d.add_argument("--errors", choices=("abort", "skip"), default="abort")
-    d.add_argument("--threads", type=int, default=1)
     d.set_defaults(func=cmd_detect)
 
     s = sub.add_parser("simulate", help="write a synthetic dataset as dense CSV")

@@ -1,9 +1,10 @@
 """Monte Carlo ROC evaluation of the detection pipelines on synthetic data.
 
-Each run generates a fresh dataset with one injected change and reduces
-it, per method, to one p-value per key (keys a method can never alarm
-get a sentinel above 1). Sweeping a decision threshold over a fixed
-grid then yields false-alarm and detection rates, averaged over runs.
+Each run generates a fresh dataset with one injected change and scores
+it with the per-key scorer that `detect` thresholds (`score_window` of
+`toprank` or `hashrank`, or `score_comprehensive`). Sweeping a decision
+threshold over the alarm p-values then yields false-alarm and detection
+rates, averaged over runs.
 Runs are seeded individually (data with base+run, hash coefficients
 with base+offset+run), so results are reproducible and independent of
 execution order or worker count.
@@ -17,14 +18,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hashrank import build_sketch, cell_outcomes, sample_coefficients
+from . import hashrank, toprank
+from .hashrank import sample_coefficients
 from .model import Alarm, DetectionMethod, WindowBatch, WindowConfig
-from .ranktest import statistic, statistic_uncensored
+from .ranktest import Scores, statistic_batch, to_alarms
 from .synth import SynthConfig, generate, to_window_batch
-from .toprank import candidates_budget, censor, top_filter
-
-# p-value sentinel for keys a method never tests; larger than any threshold
-NEVER_TESTED = 2.0
 
 # 30 log-spaced thresholds spanning 1e-12..1 plus the zero endpoint
 DEFAULT_THRESHOLDS: tuple[float, ...] = (0.0, *(float(t) for t in np.logspace(-12.0, 0.0, 30)))
@@ -36,60 +34,18 @@ class RocPoint(NamedTuple):
     det_rate: float
 
 
+def score_comprehensive(batch: WindowBatch) -> Scores:
+    """Per-key scores without any reduction: every key's raw series is tested."""
+    keys, counts = batch.matrix()
+    w_stat, p_value, change_bin, _ = statistic_batch(counts)
+    return Scores(
+        batch.window_index, DetectionMethod.COMPREHENSIVE, keys, p_value, p_value, w_stat, change_bin
+    )
+
+
 def comprehensive(batch: WindowBatch, level_alpha: float) -> list[Alarm]:
-    """Baseline without any reduction: rank-test every key's raw series."""
-    if not 0.0 < level_alpha < 1.0:
-        raise ValueError("level_alpha must be in (0, 1)")
-    alarms = []
-    for key in sorted(batch.series):
-        out = statistic_uncensored(batch.series[key].values)
-        if not out.degenerate and out.p_value < level_alpha:
-            alarms.append(
-                Alarm(
-                    key=key,
-                    window_index=batch.window_index,
-                    change_bin=out.change_bin,
-                    p_value=out.p_value,
-                    statistic=out.w_stat,
-                    method=DetectionMethod.COMPREHENSIVE,
-                )
-            )
-    alarms.sort(key=lambda a: (a.p_value, a.key))
-    return alarms
-
-
-def _comprehensive_pvalues(batch: WindowBatch) -> dict[int, float]:
-    return {
-        key: statistic_uncensored(batch.series[key].values).p_value
-        for key in batch.series
-    }
-
-
-def _toprank_pvalues(batch: WindowBatch, top_m: int, budget: int) -> dict[int, float]:
-    # metric/alpha are irrelevant here: the batch is already binned and
-    # we extract raw p-values rather than alarms
-    cfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=1)
-    tops = top_filter(batch, cfg)
-    pvals = {key: NEVER_TESTED for key in batch.series}
-    for key in candidates_budget(tops, budget):
-        pvals[key] = statistic(censor(batch, tops, key)).p_value
-    return pvals
-
-
-def _hashrank_pvalues(batch: WindowBatch, coeff_seed: int, l_rows: int, k_buckets: int) -> dict[int, float]:
-    coeffs = sample_coefficients(coeff_seed, l_rows, k_buckets)
-    table = build_sketch(batch, coeffs)
-    outcomes = cell_outcomes(table)
-    # a key is alarmed at threshold tau iff every one of its cells has
-    # p < tau, i.e. iff the max over its rows' cell p-values is < tau
-    pvals = {key: 0.0 for key in batch.series}
-    for row, row_cells in enumerate(table.cell_keys, start=1):
-        for bucket, keys in enumerate(row_cells, start=1):
-            p = outcomes[(row, bucket)].p_value
-            for key in keys:
-                if p > pvals[key]:
-                    pvals[key] = p
-    return pvals
+    """Baseline without any reduction: alarms of every key's raw series."""
+    return to_alarms(score_comprehensive(batch), level_alpha)
 
 
 def roc(
@@ -122,26 +78,23 @@ def roc(
     anomaly_key = cfg.change_rank
 
     def one_run(r: int) -> tuple[np.ndarray, np.ndarray]:
-        ds = generate(replace(cfg, seed=cfg.seed + r))
-        batch = to_window_batch(ds)
+        batch = to_window_batch(generate(replace(cfg, seed=cfg.seed + r)))
         if method is DetectionMethod.TOPRANK:
-            pvals = _toprank_pvalues(batch, top_m, budget)
+            # metric and alpha are irrelevant: only the scores are swept
+            wcfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=1)
+            scores = toprank.score_window(batch, wcfg, budget)
         elif method is DetectionMethod.HASHRANK:
-            pvals = _hashrank_pvalues(
-                batch, cfg.seed + hash_seed_offset + r, l_rows, k_buckets
-            )
+            coeffs = sample_coefficients(cfg.seed + hash_seed_offset + r, l_rows, k_buckets)
+            scores = hashrank.score_window(batch, coeffs)
         elif method is DetectionMethod.COMPREHENSIVE:
-            pvals = _comprehensive_pvalues(batch)
+            scores = score_comprehensive(batch)
         else:
             raise ValueError(f"unknown method {method!r}")
-        det = (pvals[anomaly_key] < thr_arr).astype(np.float64)
-        others = np.array(
-            [p for key, p in sorted(pvals.items()) if key != anomaly_key]
-        )
-        if others.size:
-            fa = (others[:, None] < thr_arr[None, :]).mean(axis=0)
-        else:
-            fa = np.zeros_like(thr_arr)
+        at = int(np.searchsorted(scores.keys, anomaly_key))
+        det = (scores.p_alarm[at] < thr_arr).astype(np.float64)
+        others = np.delete(scores.p_alarm, at)
+        # a one-key window has no other keys and so no false alarms
+        fa = (others[:, None] < thr_arr[None, :]).sum(axis=0) / max(others.size, 1)
         return fa, det
 
     if threads > 1:

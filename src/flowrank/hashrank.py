@@ -7,6 +7,10 @@ independently drawn 4-wise-independent hash (a random cubic polynomial
 over the Mersenne prime 2^61 - 1), and the bucket's series is the sum
 of the series of the keys landing there. A key is a suspect when the
 cell containing it is flagged in every row.
+
+`cell_outcomes` tests all L x K cells in one `statistic_batch` call, and
+`score_window` maps them back to per-key scores; `invert` is the same
+decision in set algebra.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import Alarm, DetectionMethod, WindowBatch
-from .ranktest import TestOutcome, statistic_uncensored
+from .ranktest import BatchOutcome, Scores, statistic_batch, to_alarms
 
 MERSENNE_PRIME = (1 << 61) - 1
 
@@ -114,24 +118,9 @@ def build_sketch(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Sket
     return SketchTable(l_rows=l_rows, k_buckets=k_buckets, series=series, cell_keys=cell_keys)
 
 
-def cell_outcomes(table: SketchTable) -> dict[tuple[int, int], TestOutcome]:
-    """Rank-test every cell series; cells are addressed 1-based."""
-    return {
-        (row + 1, bucket + 1): statistic_uncensored(table.series[row, bucket])
-        for row in range(table.l_rows)
-        for bucket in range(table.k_buckets)
-    }
-
-
-def detect_cells(table: SketchTable, level_alpha: float) -> set[tuple[int, int]]:
-    """Cells whose series shows a change at the given level."""
-    if not 0.0 < level_alpha < 1.0:
-        raise ValueError("level_alpha must be in (0, 1)")
-    return {
-        cell
-        for cell, out in cell_outcomes(table).items()
-        if not out.degenerate and out.p_value < level_alpha
-    }
+def cell_outcomes(table: SketchTable) -> BatchOutcome:
+    """Rank-test every cell series; cell (row l, bucket k), 1-based, is at (l-1)*K + k-1."""
+    return statistic_batch(table.series.reshape(-1, table.series.shape[2]))
 
 
 def invert(table: SketchTable, cells: Iterable[tuple[int, int]]) -> frozenset[int]:
@@ -153,44 +142,31 @@ def invert(table: SketchTable, cells: Iterable[tuple[int, int]]) -> frozenset[in
     return suspects if suspects is not None else frozenset()
 
 
+def score_window(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Scores:
+    """Sketch and test one window; per-key scores.
+
+    A key's cells are flagged in every row iff the largest of their
+    p-values is below the level, so that is its alarm p-value. It
+    reports its cell with the smallest p-value (earliest row under
+    ties), the most confident evidence for that key.
+    """
+    table = build_sketch(batch, coeffs)
+    out = cell_outcomes(table)
+    keys = np.array(sorted(batch.series), dtype=np.int64)
+    cells = np.empty((table.l_rows, keys.size), dtype=np.intp)
+    for row, row_cells in enumerate(table.cell_keys):
+        for bucket, members in enumerate(row_cells):
+            cells[row, np.searchsorted(keys, members)] = row * table.k_buckets + bucket
+    p_value = out.p_value[cells]
+    best = cells[p_value.argmin(axis=0), np.arange(keys.size)]
+    report = (out.p_value[best], out.w_stat[best], out.change_bin[best])
+    return Scores(batch.window_index, DetectionMethod.HASHRANK, keys, p_value.max(axis=0), *report)
+
+
 def run_window(
     batch: WindowBatch,
     coeffs: Sequence[HashCoefficients],
     level_alpha: float,
 ) -> list[Alarm]:
-    """Sketch, test and invert one window; alarms sorted by p-value.
-
-    A suspect's reported p-value and change bin come from the flagged
-    cell containing it with the smallest p-value (earliest row under
-    ties), i.e. the most confident evidence for that key.
-    """
-    if not 0.0 < level_alpha < 1.0:
-        raise ValueError("level_alpha must be in (0, 1)")
-    table = build_sketch(batch, coeffs)
-    outcomes = cell_outcomes(table)
-    flagged = {
-        cell
-        for cell, out in outcomes.items()
-        if not out.degenerate and out.p_value < level_alpha
-    }
-    alarms = []
-    for key in sorted(invert(table, flagged)):
-        best: TestOutcome | None = None
-        for row, c in enumerate(coeffs, start=1):
-            cell = (row, hash_eval(c, key))
-            out = outcomes[cell]
-            if best is None or out.p_value < best.p_value:
-                best = out
-        assert best is not None
-        alarms.append(
-            Alarm(
-                key=key,
-                window_index=batch.window_index,
-                change_bin=best.change_bin,
-                p_value=best.p_value,
-                statistic=best.w_stat,
-                method=DetectionMethod.HASHRANK,
-            )
-        )
-    alarms.sort(key=lambda a: (a.p_value, a.key))
-    return alarms
+    """Alarms of one window (see `score_window`), sorted by p-value."""
+    return to_alarms(score_window(batch, coeffs), level_alpha)

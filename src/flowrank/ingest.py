@@ -66,6 +66,10 @@ def parse_record(line: str, line_no: int = 0) -> FlowRecord:
         ints = [int(f) for f in fields[2:6]] + [int(f) for f in fields[7:12]]
     except ValueError as exc:
         raise ParseError(line_no, f"unparseable number: {exc}") from None
+    for ts in (ts_start, ts_end):
+        # NetFlow stamps are 32-bit unix seconds; NaN fails the comparison
+        if not abs(ts) < 2.0**32:
+            raise ParseError(line_no, f"timestamp {ts} is not finite or beyond 2^32 s")
     proto_text = fields[6]
     try:
         proto = Protocol(proto_text)

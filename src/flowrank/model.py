@@ -219,6 +219,12 @@ class WindowBatch:
     def num_keys(self) -> int:
         return len(self.series)
 
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The window as ascending keys int64[N] and their counts int64[N, P]."""
+        keys = sorted(self.series)
+        counts = np.array([self.series[k].values for k in keys], dtype=np.int64)
+        return np.array(keys, dtype=np.int64), counts.reshape(len(keys), self.bins)
+
 
 @dataclass(frozen=True)
 class Alarm:

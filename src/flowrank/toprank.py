@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Alarm, WindowBatch, WindowConfig
-from .ranktest import CensoredSeries, detect
+from .model import Alarm, DetectionMethod, WindowBatch, WindowConfig
+from .ranktest import NEVER_TESTED, CensoredSeries, Scores, statistic_batch, to_alarms
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,7 @@ def top_filter(batch: WindowBatch, cfg: WindowConfig) -> list[TopSet]:
     result is independent of input ordering.
     """
     m = cfg.top_m
-    if batch.num_keys == 0:
-        return [TopSet(bin=t + 1, entries=(), censor_bound=0) for t in range(batch.bins)]
-    keys = np.sort(np.fromiter(batch.series.keys(), dtype=np.int64, count=batch.num_keys))
-    values = np.stack([batch.series[int(k)].values for k in keys])
+    keys, values = batch.matrix()
     tops = []
     for t in range(batch.bins):
         col = values[:, t]
@@ -125,29 +122,40 @@ def censor(batch: WindowBatch, tops: Sequence[TopSet], key: int) -> CensoredSeri
     return CensoredSeries(key=key, x=x, observed=observed)
 
 
-def run_window(
+def score_window(
     batch: WindowBatch,
     cfg: WindowConfig,
     budget: Optional[int] = None,
-) -> list[Alarm]:
-    """Filter, censor and test one window; alarms sorted by p-value.
+) -> Scores:
+    """Filter, censor and test one window; untested keys score `NEVER_TESTED`.
 
     With `budget` set, candidates come from the fixed-budget rank-major
     rule instead of the keep_mprime union.
     """
     tops = top_filter(batch, cfg)
     if budget is None:
-        keys = candidates(tops, cfg.keep_mprime)
+        cands = candidates(tops, cfg.keep_mprime)
     else:
-        keys = candidates_budget(tops, budget)
-    alarms = []
-    for key in keys:
-        alarm = detect(
-            censor(batch, tops, key),
-            cfg.level_alpha,
-            window_index=batch.window_index,
-        )
-        if alarm is not None:
-            alarms.append(alarm)
-    alarms.sort(key=lambda a: (a.p_value, a.key))
-    return alarms
+        cands = candidates_budget(tops, budget)
+    series = [censor(batch, tops, key) for key in cands]
+    out = statistic_batch(
+        np.array([s.x for s in series]).reshape(len(cands), batch.bins),
+        np.array([s.observed for s in series]).reshape(len(cands), batch.bins),
+    )
+    keys = np.array(sorted(batch.series), dtype=np.int64)
+    at = np.searchsorted(keys, cands)
+    p_value = np.full(keys.size, NEVER_TESTED)
+    stat, change_bin = np.zeros(keys.size), np.zeros(keys.size, dtype=np.int64)
+    p_value[at], stat[at], change_bin[at] = out.p_value, out.w_stat, out.change_bin
+    return Scores(
+        batch.window_index, DetectionMethod.TOPRANK, keys, p_value, p_value, stat, change_bin
+    )
+
+
+def run_window(
+    batch: WindowBatch,
+    cfg: WindowConfig,
+    budget: Optional[int] = None,
+) -> list[Alarm]:
+    """Alarms of one window (see `score_window`), sorted by p-value."""
+    return to_alarms(score_window(batch, cfg, budget), cfg.level_alpha)

@@ -81,9 +81,13 @@ def test_detect_missing_input_is_data_error(tmp_path):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as info:
-        main(["detect", "--method", "bogus", "--input", "x"])
-    assert info.value.code == 1
+    for argv in (
+        ["detect", "--method", "bogus", "--input", "x"],
+        ["detect", "--input", "x", "--threads", "2"],  # detect has no --threads
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
 
 
 def test_simulate_then_detect_dense(tmp_path):

@@ -9,13 +9,14 @@ from flowrank.hashrank import (
     SketchTable,
     build_sketch,
     cell_outcomes,
-    detect_cells,
     hash_eval,
     invert,
     run_window,
     sample_coefficients,
+    score_window,
 )
 from flowrank.model import BinSeries, DetectionMethod, WindowBatch
+from flowrank.ranktest import statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
 
 
@@ -152,13 +153,22 @@ def test_sketch_mismatched_buckets_rejected():
         build_sketch(batch, coeffs)
 
 
-# --- detect_cells / invert -----------------------------------------------
+# --- cell_outcomes / invert ----------------------------------------------
+
+
+def flagged_cells(table, level_alpha):
+    """1-based cells whose series shows a change at the given level."""
+    out = cell_outcomes(table)
+    hit = np.flatnonzero(~out.degenerate & (out.p_value < level_alpha))
+    return {(int(i) // table.k_buckets + 1, int(i) % table.k_buckets + 1) for i in hit}
 
 
 def test_detect_cells_constant_sketch_is_quiet():
     batch = make_batch({k: [3] * 10 for k in range(1, 8)}, bins=10)
-    table = build_sketch(batch, sample_coefficients(2, 3, 5))
-    assert detect_cells(table, 0.5) == set()
+    coeffs = sample_coefficients(2, 3, 5)
+    table = build_sketch(batch, coeffs)
+    assert flagged_cells(table, 0.5) == set()
+    assert run_window(batch, coeffs, 0.5) == []
 
 
 def test_detect_cells_flags_injected_change():
@@ -168,9 +178,10 @@ def test_detect_cells_flags_injected_change():
     batch = make_batch(quiet, bins=40)
     coeffs = sample_coefficients(8, 4, 11)
     table = build_sketch(batch, coeffs)
-    flagged = detect_cells(table, 0.01)
+    flagged = flagged_cells(table, 0.01)
     for row, c in enumerate(coeffs, start=1):
         assert (row, hash_eval(c, 99)) in flagged
+    assert 99 in [a.key for a in run_window(batch, coeffs, 0.01)]
 
 
 def test_detect_cells_threshold_near_one_flags_everything_alive():
@@ -178,9 +189,24 @@ def test_detect_cells_threshold_near_one_flags_everything_alive():
     batch = make_batch({k: rng.integers(0, 30, 20) for k in range(1, 40)}, bins=20)
     table = build_sketch(batch, sample_coefficients(4, 3, 7))
     outcomes = cell_outcomes(table)
-    flagged = detect_cells(table, 1 - 1e-12)
-    alive = {c for c, o in outcomes.items() if not o.degenerate and o.p_value < 1 - 1e-12}
-    assert flagged == alive
+    assert outcomes.p_value.shape == (3 * 7,)
+    for row in range(3):
+        for bucket in range(7):
+            one = statistic_uncensored(table.series[row, bucket])
+            i = row * 7 + bucket
+            assert (outcomes.p_value[i], outcomes.degenerate[i]) == (one.p_value, one.degenerate)
+    flagged = flagged_cells(table, 1 - 1e-12)
+    alive = {
+        (row + 1, bucket + 1)
+        for row in range(3)
+        for bucket in range(7)
+        if not statistic_uncensored(table.series[row, bucket]).degenerate
+    }
+    assert flagged <= alive
+    # a live cell escapes only when its statistic is below 0.2 (p == 1)
+    assert all(
+        outcomes.w_stat[(r - 1) * 7 + b - 1] < 0.2 for r, b in alive - flagged
+    )
 
 
 def test_invert_intersects_row_unions():
@@ -241,7 +267,20 @@ def test_invert_completeness_for_fully_flagged_key():
     assert target in invert(table, flagged)
 
 
-# --- run_window -----------------------------------------------------------
+# --- score_window / run_window ---------------------------------------------
+
+
+@pytest.mark.parametrize("level_alpha", [1e-3, 0.05, 0.5, 1 - 1e-12])
+def test_alarm_set_matches_p_alarm_and_inversion(level_alpha):
+    cfg = SynthConfig(dim=150, bins=30, change_rank=3, change_bin=15, factor=6.0, seed=12)
+    batch = to_window_batch(generate(cfg))
+    coeffs = sample_coefficients(41, 4, 7)
+    scores = score_window(batch, coeffs)
+    assert list(scores.keys) == sorted(batch.series)
+    alarmed = {a.key for a in run_window(batch, coeffs, level_alpha)}
+    assert alarmed == {int(k) for k in scores.keys[scores.p_alarm < level_alpha]}
+    table = build_sketch(batch, coeffs)
+    assert alarmed == invert(table, flagged_cells(table, level_alpha))
 
 
 def test_run_window_alarms_injected_anomaly():
@@ -270,8 +309,6 @@ def test_run_window_singleton_cells_match_raw_series():
     coeffs = identity_coeffs(5, rows=2)
     alarms = run_window(batch, coeffs, 1e-3)
     assert [a.key for a in alarms] == [2]
-    from flowrank.ranktest import statistic_uncensored
-
     raw = statistic_uncensored(rows[2])
     assert alarms[0].p_value == raw.p_value
     assert alarms[0].change_bin == raw.change_bin
@@ -285,7 +322,9 @@ def test_run_window_reports_most_confident_cell():
     outcomes = cell_outcomes(build_sketch(batch, coeffs))
     for alarm in alarms:
         own = [
-            outcomes[(row, hash_eval(c, alarm.key))]
-            for row, c in enumerate(coeffs, start=1)
+            row * 11 + hash_eval(c, alarm.key) - 1 for row, c in enumerate(coeffs)
         ]
-        assert alarm.p_value == min(o.p_value for o in own)
+        best = min(own, key=lambda i: outcomes.p_value[i])  # earliest row on ties
+        assert alarm.p_value == outcomes.p_value[best]
+        assert alarm.statistic == outcomes.w_stat[best]
+        assert alarm.change_bin == outcomes.change_bin[best]

@@ -70,6 +70,29 @@ def test_iter_flow_csv_skip_policy():
         list(iter_flow_csv(src, errors="raise"))
 
 
+@pytest.mark.parametrize("bad_ts", ["nan", "inf", "-inf", "1e300"])
+def test_bad_timestamps_rejected_under_both_policies(bad_ts):
+    with pytest.raises(ParseError):
+        parse_record(f"{bad_ts},1.0,1,2,3,4,TCP,1,0,0,0,0", 2)
+    with pytest.raises(ParseError):
+        parse_record(f"0.0,{bad_ts},1,2,3,4,TCP,1,0,0,0,0", 2)
+    with pytest.raises(ParseError):
+        list(iter_flow_csv(csv_of([flow_line(0.0), f"{bad_ts},{bad_ts},1,2,3,4,TCP,1,0,0,0,0"])))
+    src = csv_of([flow_line(0.0), f"{bad_ts},{bad_ts},1,2,3,4,TCP,1,0,0,0,0", flow_line(1.0)])
+    batches = list(split_windows(iter_flow_csv(src, errors="skip"), cfg3()))
+    assert [b.window_index for b in batches] == [0]
+    assert np.array_equal(batches[0].series[20].values, [1, 1, 0])
+
+
+def test_negative_and_near_limit_timestamps_accepted():
+    assert parse_record(flow_line(-5.0), 2).ts_start == -5.0
+    assert parse_record(flow_line(4294967295.0), 2).ts_start == 4294967295.0
+    with pytest.raises(ParseError):
+        parse_record(flow_line(4294967296.0), 2)
+    batches = list(split_windows([parse_record(flow_line(-5.0), 2)], cfg3()))
+    assert batches[0].start_time == -5.0
+
+
 def cfg3(metric=MetricKind.SYN_FLOOD):
     return WindowConfig(delta=1.0, bins_per_window=3, top_m=2, metric=metric)
 

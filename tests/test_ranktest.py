@@ -10,11 +10,13 @@ from hypothesis.extra.numpy import arrays
 from flowrank.model import DetectionMethod
 from flowrank.ranktest import (
     CensoredSeries,
-    detect,
+    Scores,
     pvalue,
     score_pair,
     statistic,
+    statistic_batch,
     statistic_uncensored,
+    to_alarms,
 )
 
 from oracles import bridge_tail, brute_statistic
@@ -95,17 +97,58 @@ def test_statistic_strictly_increasing_matches_brute(n):
 
 def test_statistic_matches_bruteforce_on_random_series():
     rng = np.random.default_rng(5)
-    for _ in range(300):
-        n = int(rng.integers(2, 13))
-        series = random_censored(rng, n)
-        out = statistic(series)
-        ref = brute_statistic(list(series.x), list(series.observed))
-        assert out.degenerate == ref["degenerate"]
-        assert list(out.u_scores) == ref["u"]
-        assert list(out.s_path) == ref["s_path"]
-        if not ref["degenerate"]:
-            assert out.w_stat == ref["w"]
-            assert out.change_bin == ref["change_bin"]
+    # (bins, rows, transform): 330 short tie-heavy series, then batches
+    # spanning several kernel blocks, raw and under exp
+    cases = [(n, 30, None) for n in range(2, 13)] + [(40, 150, None), (40, 150, np.exp)]
+    for n, rows, transform in cases:
+        batch = [random_censored(rng, n) for _ in range(rows)]
+        if transform is not None:
+            batch = [CensoredSeries(s.key, transform(s.x), s.observed) for s in batch]
+        x = np.stack([s.x for s in batch])
+        observed = np.stack([s.observed for s in batch])
+        many = statistic_batch(x, observed)
+        for i, series in enumerate(batch):
+            out = statistic(series)
+            ref = brute_statistic(list(series.x), list(series.observed))
+            assert out.degenerate == ref["degenerate"] == many.degenerate[i]
+            assert list(out.u_scores) == ref["u"]
+            assert list(out.s_path) == ref["s_path"]
+            assert out.w_stat == many.w_stat[i]
+            assert out.p_value == many.p_value[i]
+            assert out.change_bin == many.change_bin[i]
+            if not ref["degenerate"]:
+                assert out.w_stat == ref["w"]
+                assert out.change_bin == ref["change_bin"]
+        uncensored = statistic_batch(x)
+        for i in range(rows):
+            out = statistic_uncensored(x[i])
+            assert out.w_stat == uncensored.w_stat[i]
+            assert out.p_value == uncensored.p_value[i]
+            assert out.change_bin == uncensored.change_bin[i]
+            assert out.degenerate == uncensored.degenerate[i]
+
+
+def test_statistic_batch_empty_and_shape_checks():
+    out = statistic_batch(np.zeros((0, 5)))
+    assert out.w_stat.shape == out.p_value.shape == out.change_bin.shape == (0,)
+    with pytest.raises(ValueError):
+        statistic_batch(np.zeros(5))
+    with pytest.raises(ValueError):
+        statistic_batch(np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        statistic_batch(np.zeros((3, 4)), np.ones((3, 5), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_values_rejected(bad):
+    with pytest.raises(ValueError):
+        CensoredSeries(1, [1.0, bad, 2.0], [1, 1, 1])
+    x = np.ones((70, 4))
+    x[68, 2] = bad  # in the second kernel block
+    with pytest.raises(ValueError):
+        statistic_batch(x)
+    with pytest.raises(ValueError):
+        statistic_uncensored([1.0, bad, 2.0])
 
 
 def test_statistic_rejects_single_bin():
@@ -172,6 +215,11 @@ def test_pvalue_negative_rejected():
         pvalue(-0.1)
 
 
+def test_pvalue_nan_rejected():
+    with pytest.raises(ValueError):
+        pvalue(float("nan"))
+
+
 def test_pvalue_far_tail():
     assert pvalue(4.0) < 1e-12
 
@@ -192,11 +240,20 @@ def test_pvalue_monotone_and_continuous():
     assert max(deltas) < 0.02  # no jumps on a 5e-3 grid
 
 
-# --- detect -------------------------------------------------------------
+# --- to_alarms ----------------------------------------------------------
+
+
+def alarm_of(series, level_alpha):
+    """Alarm of one censored series through the batch kernel, or None."""
+    w_stat, p_value, change_bin, _ = statistic_batch(series.x[None], series.observed[None])
+    key = np.array([series.key])
+    scores = Scores(0, DetectionMethod.TOPRANK, key, p_value, p_value, w_stat, change_bin)
+    alarms = to_alarms(scores, level_alpha)
+    return alarms[0] if alarms else None
 
 
 def test_detect_alarms_step_series():
-    alarm = detect(CensoredSeries(9, [1, 1, 5, 5], [1, 1, 1, 1]), 0.5)
+    alarm = alarm_of(CensoredSeries(9, [1, 1, 5, 5], [1, 1, 1, 1]), 0.5)
     assert alarm is not None
     assert alarm.key == 9
     assert alarm.change_bin == 2
@@ -205,18 +262,34 @@ def test_detect_alarms_step_series():
 
 
 def test_detect_degenerate_never_alarms():
-    assert detect(CensoredSeries(1, [2, 2, 2], [1, 1, 1]), 0.5) is None
+    assert alarm_of(CensoredSeries(1, [2, 2, 2], [1, 1, 1]), 0.5) is None
+    assert alarm_of(CensoredSeries(1, [2, 2, 2], [1, 1, 1]), 1 - 1e-12) is None
 
 
 def test_detect_threshold_monotone():
     series = CensoredSeries(1, list(range(60)), [1] * 60)
-    assert detect(series, 1e-12) is None or statistic(series).p_value < 1e-12
-    assert detect(series, 0.9) is not None
+    assert alarm_of(series, 1e-12) is None or statistic(series).p_value < 1e-12
+    assert alarm_of(series, 0.9) is not None
 
 
 def test_detect_level_validation():
     series = CensoredSeries(1, [1, 2, 3], [1, 1, 1])
     with pytest.raises(ValueError):
-        detect(series, 0.0)
+        alarm_of(series, 0.0)
     with pytest.raises(ValueError):
-        detect(series, 1.0)
+        alarm_of(series, 1.0)
+
+
+def test_to_alarms_sorts_by_reported_pvalue_then_key():
+    scores = Scores(
+        window_index=7,
+        method=DetectionMethod.HASHRANK,
+        keys=np.array([3, 5, 7, 9]),
+        p_alarm=np.array([0.01, 0.2, 0.01, 2.0]),
+        p_report=np.array([0.004, 0.001, 0.004, 0.0]),
+        stat=np.array([1.5, 1.9, 1.5, 0.0]),
+        change_bin=np.array([4, 2, 6, 0]),
+    )
+    alarms = to_alarms(scores, 0.05)
+    assert [(a.key, a.p_value, a.change_bin) for a in alarms] == [(3, 0.004, 4), (7, 0.004, 6)]
+    assert all(a.window_index == 7 and a.method is DetectionMethod.HASHRANK for a in alarms)
