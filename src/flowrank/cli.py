@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, comprehensive, roc
 from .hashrank import run_window as hashrank_window
 from .hashrank import sample_coefficients
-from .ingest import ParseError, iter_flow_csv, split_windows
+from .ingest import ParseError, read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
 from .toprank import run_window as toprank_window
@@ -63,6 +64,16 @@ def _detect_config(args: argparse.Namespace) -> WindowConfig:
     )
 
 
+def _report_skipped(skipped: Counter) -> None:
+    # stderr only: the CSV and the manifest stay byte-identical across reruns
+    by_reason = ", ".join(f"{reason} {n}" for reason, n in sorted(skipped.items()))
+    print(
+        f"flowrank: skipped {sum(skipped.values())} bad lines"
+        + (f" ({by_reason})" if by_reason else ""),
+        file=sys.stderr,
+    )
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
     if args.format == "dense" and args.metric != "syn":
@@ -72,9 +83,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
         batch, _truth = read_dense_csv(args.input, bins=args.window)
         batches = [batch]
     else:
-        policy = "raise" if args.errors == "abort" else "skip"
-        records = iter_flow_csv(args.input, errors=policy)
-        batches = split_windows(records, cfg)
+        if args.errors == "abort":
+            columns = read_flow_csv(args.input, errors="raise")
+        else:
+            skipped: Counter = Counter()
+            columns = read_flow_csv(args.input, errors="skip", skipped=skipped)
+            _report_skipped(skipped)
+        batches = split_windows(columns, cfg)
     coeffs = None
     if method is DetectionMethod.HASHRANK:
         coeffs = sample_coefficients(args.seed, args.rows, args.buckets)

@@ -37,12 +37,11 @@ class HashCoefficients:
 
     a: tuple[int, int, int, int]
     k_buckets: int
-    mersenne_p: int = MERSENNE_PRIME
 
     def __post_init__(self) -> None:
         if len(self.a) != 4:
             raise ValueError("exactly four coefficients required")
-        if any(not 0 <= c < self.mersenne_p for c in self.a):
+        if any(not 0 <= c < MERSENNE_PRIME for c in self.a):
             raise ValueError("coefficients must lie in [0, p-1]")
         if self.k_buckets < 2:
             raise ValueError("need at least two buckets")
@@ -52,13 +51,62 @@ def hash_eval(coeffs: HashCoefficients, x: int) -> int:
     """Bucket of key x, in 1..k_buckets.
 
     Horner evaluation of the cubic with every intermediate reduced
-    modulo the prime (Python integers keep the products exact).
+    modulo the prime (Python integers keep the products exact). The
+    reference for `hash_buckets`.
     """
-    p = coeffs.mersenne_p
     acc = 0
     for c in reversed(coeffs.a):
-        acc = (acc * x + c) % p
+        acc = (acc * x + c) % MERSENNE_PRIME
     return 1 + acc % coeffs.k_buckets
+
+
+_P = np.uint64(MERSENNE_PRIME)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW29 = np.uint64((1 << 29) - 1)
+
+
+def _reduce(s: np.ndarray) -> np.ndarray:
+    """s mod p for uint64 s below 2^63 (2^61 = 1 mod p)."""
+    s = (s & _P) + (s >> np.uint64(61))
+    return np.where(s >= _P, s - _P, s)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod p for uint64 arrays below 2^61, exact via 32-bit limbs.
+
+    With a = a1*2^32 + a0 and b likewise, the product is
+    a1*b1*2^64 + (a1*b0 + a0*b1)*2^32 + a0*b0, and 2^64 = 8 mod p.
+    The middle term m splits at bit 29, since m*2^32 = (m >> 29)*2^61 +
+    (m mod 2^29)*2^32. Every partial term stays below 2^62 and their sum
+    below 2^63.
+    """
+    a1, a0 = a >> np.uint64(32), a & _LOW32
+    b1, b0 = b >> np.uint64(32), b & _LOW32
+    low = a0 * b0
+    mid = a1 * b0 + a0 * b1
+    return _reduce(
+        ((a1 * b1) << np.uint64(3))
+        + (mid >> np.uint64(29))
+        + ((mid & _LOW29) << np.uint64(32))
+        + (low & _P)
+        + (low >> np.uint64(61))
+    )
+
+
+def hash_buckets(coeffs: Sequence[HashCoefficients], keys: np.ndarray) -> np.ndarray:
+    """0-based buckets of int64 keys under every row, as intp[L, N].
+
+    Entry [l, n] equals `hash_eval(coeffs[l], keys[n]) - 1`: the keys are
+    reduced modulo p with Python's sign convention, then each row's
+    cubic runs Horner's rule with exact multiply-mod.
+    """
+    x = np.mod(np.asarray(keys, dtype=np.int64), MERSENNE_PRIME).astype(np.uint64)
+    a = np.array([c.a for c in coeffs], dtype=np.uint64)
+    acc = np.broadcast_to(a[:, 3:], (len(coeffs), x.size))
+    for j in (2, 1, 0):
+        acc = _reduce(_mulmod(acc, x) + a[:, j:j + 1])
+    k_buckets = np.array([[c.k_buckets] for c in coeffs], dtype=np.uint64)
+    return (acc % k_buckets).astype(np.intp)
 
 
 def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> list[HashCoefficients]:
@@ -102,18 +150,13 @@ def build_sketch(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Sket
     if any(c.k_buckets != k_buckets for c in coeffs):
         raise ValueError("all rows must share the same bucket count")
     l_rows = len(coeffs)
+    keys, counts = batch.matrix()
+    buckets = hash_buckets(coeffs, keys)
     series = np.zeros((l_rows, k_buckets, batch.bins), dtype=np.int64)
-    keys_by_cell: list[list[list[int]]] = [
-        [[] for _ in range(k_buckets)] for _ in range(l_rows)
-    ]
-    for key in sorted(batch.series):
-        values = batch.series[key].values
-        for row, c in enumerate(coeffs):
-            bucket = hash_eval(c, key) - 1
-            series[row, bucket] += values
-            keys_by_cell[row][bucket].append(key)
+    np.add.at(series, (np.arange(l_rows)[:, None], buckets), counts)
     cell_keys = tuple(
-        tuple(tuple(cell) for cell in row_cells) for row_cells in keys_by_cell
+        tuple(tuple(keys[row == bucket].tolist()) for bucket in range(k_buckets))
+        for row in buckets
     )
     return SketchTable(l_rows=l_rows, k_buckets=k_buckets, series=series, cell_keys=cell_keys)
 

@@ -47,6 +47,20 @@ class DetectionMethod(enum.Enum):
     COMPREHENSIVE = "full"
 
 
+COUNTERS = ("packets", "syn", "synack", "fin", "rst")
+
+
+class RecordError(ValueError):
+    """A violated FlowRecord invariant.
+
+    `reason` names the rule: "timestamp", "range" or "flags".
+    """
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     """One NetFlow-style record.
@@ -71,28 +85,34 @@ class FlowRecord:
 
     def __post_init__(self) -> None:
         if self.ts_end < self.ts_start:
-            raise ValueError(
-                f"flow ends before it starts ({self.ts_end} < {self.ts_start})"
+            raise RecordError(
+                "timestamp",
+                f"flow ends before it starts ({self.ts_end} < {self.ts_start})",
             )
         for name in ("src_ip", "dst_ip"):
             v = getattr(self, name)
             if not 0 <= v <= U32_MAX:
-                raise ValueError(f"{name}={v} outside 32-bit range")
+                raise RecordError("range", f"{name}={v} outside 32-bit range")
         for name in ("src_port", "dst_port"):
             v = getattr(self, name)
             if not 0 <= v <= U16_MAX:
-                raise ValueError(f"{name}={v} outside 16-bit range")
-        for name in ("packets", "syn", "synack", "fin", "rst"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise RecordError("range", f"{name}={v} outside 16-bit range")
+        for name in COUNTERS:
+            v = getattr(self, name)
+            if v < 0:
+                raise RecordError("range", f"{name} must be nonnegative")
+            # NetFlow v5 counters are 32-bit; the bound keeps every bin sum
+            # of fewer than 2^31 records inside int64
+            if v > U32_MAX:
+                raise RecordError("range", f"{name}={v} outside 32-bit counter range")
         flags = self.syn + self.synack + self.fin + self.rst
         if self.proto is Protocol.TCP:
             if flags > self.packets:
-                raise ValueError(
-                    f"TCP flag counters sum to {flags} > packets={self.packets}"
+                raise RecordError(
+                    "flags", f"TCP flag counters sum to {flags} > packets={self.packets}"
                 )
         elif flags != 0:
-            raise ValueError("flag counters must be zero for non-TCP records")
+            raise RecordError("flags", "flag counters must be zero for non-TCP records")
 
 
 class Contribution(NamedTuple):
@@ -107,6 +127,16 @@ class Contribution(NamedTuple):
     token: Optional[int]
 
 
+# metric -> (protocol the record must have or None, key field, value field,
+# whether the value is a token counted once per bin rather than a count)
+METRIC_FIELDS = {
+    MetricKind.SYN_FLOOD: (Protocol.TCP, "dst_ip", "syn", False),
+    MetricKind.UDP_FLOOD: (Protocol.UDP, "dst_ip", "packets", False),
+    MetricKind.PORT_SCAN: (Protocol.TCP, "dst_ip", "dst_port", True),
+    MetricKind.NET_SCAN: (None, "src_ip", "dst_ip", True),
+}
+
+
 def metric_key_value(rec: FlowRecord, metric: MetricKind) -> Optional[Contribution]:
     """Map a record to its dimension key and bin contribution.
 
@@ -115,21 +145,14 @@ def metric_key_value(rec: FlowRecord, metric: MetricKind) -> Optional[Contributi
     attack definitions: port scans count TCP destination ports, network
     scans count contacted addresses regardless of protocol.
     """
-    if metric is MetricKind.SYN_FLOOD:
-        if rec.proto is not Protocol.TCP:
-            return None
-        return Contribution(rec.dst_ip, count=rec.syn, token=None)
-    if metric is MetricKind.UDP_FLOOD:
-        if rec.proto is not Protocol.UDP:
-            return None
-        return Contribution(rec.dst_ip, count=rec.packets, token=None)
-    if metric is MetricKind.PORT_SCAN:
-        if rec.proto is not Protocol.TCP:
-            return None
-        return Contribution(rec.dst_ip, count=None, token=rec.dst_port)
-    if metric is MetricKind.NET_SCAN:
-        return Contribution(rec.src_ip, count=None, token=rec.dst_ip)
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in METRIC_FIELDS:
+        raise ValueError(f"unknown metric {metric!r}")
+    proto, key, value, distinct = METRIC_FIELDS[metric]
+    if proto is not None and rec.proto is not proto:
+        return None
+    if distinct:
+        return Contribution(getattr(rec, key), count=None, token=getattr(rec, value))
+    return Contribution(getattr(rec, key), count=getattr(rec, value), token=None)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .model import BinSeries, WindowBatch
+from .model import U32_MAX, BinSeries, WindowBatch
 
 DENSE_HEADER = "key,bin,count"
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,15 @@ def read_dense_csv(
         fields = text.split(",")
         if len(fields) != 3:
             raise ValueError(f"line {line_no}: expected key,bin,count")
-        key, bin_index, count = (int(f) for f in fields)
+        try:
+            key, bin_index, count = (int(f) for f in fields)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: unparseable number: {exc}") from None
         if bin_index < 1 or count < 0:
             raise ValueError(f"line {line_no}: bin must be >= 1 and count >= 0")
+        # the flow counter bound: sums of fewer than 2^31 cells fit int64
+        if count > U32_MAX or not _INT64.min <= key <= _INT64.max:
+            raise ValueError(f"line {line_no}: count must be below 2^32 and key fit 64 bits")
         cells.append((key, bin_index, count))
     if not header_seen:
         raise ValueError("missing header")

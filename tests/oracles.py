@@ -68,3 +68,62 @@ def bridge_tail(b, tol=1e-16, max_terms=1_000_000):
             break
         sign = -sign
     return min(1.0, max(0.0, 2.0 * total))
+
+
+def split_records(records, delta, bins):
+    """Group records into windows the direct way; {window index: records}.
+
+    The origin is the earliest start time floored to the bin length.
+    Returns the origin and the groups, each in record order.
+    """
+    origin = math.floor(min(r.ts_start for r in records) / delta) * delta
+    span = delta * bins
+    groups = {}
+    for rec in records:
+        groups.setdefault(int((rec.ts_start - origin) // span), []).append(rec)
+    return origin, groups
+
+
+def bin_records(records, metric, delta, bins, window_index, origin):
+    """Per-record binning of one window: {key: [count per bin]}.
+
+    `metric` is one of "syn", "udp", "portscan", "netscan". Flood metrics
+    add a counter; scan metrics count distinct tokens per bin with one
+    Python set per key and bin. Keys whose series is all zero are left
+    out. Raises ValueError for a record outside the window.
+    """
+    lo = origin + window_index * delta * bins
+    hi = lo + delta * bins
+    added = {}
+    tokens = {}
+    for rec in records:
+        if not lo <= rec.ts_start < hi:
+            raise ValueError(f"record at t={rec.ts_start} outside window [{lo}, {hi})")
+        proto = rec.proto.value
+        if metric == "syn":
+            if proto != "TCP":
+                continue
+            key, count, token = rec.dst_ip, rec.syn, None
+        elif metric == "udp":
+            if proto != "UDP":
+                continue
+            key, count, token = rec.dst_ip, rec.packets, None
+        elif metric == "portscan":
+            if proto != "TCP":
+                continue
+            key, count, token = rec.dst_ip, None, rec.dst_port
+        else:
+            key, count, token = rec.src_ip, None, rec.dst_ip
+        t = min(int((rec.ts_start - lo) // delta), bins - 1)
+        if count is not None:
+            added.setdefault(key, [0] * bins)[t] += count
+        else:
+            tokens.setdefault(key, [set() for _ in range(bins)])[t].add(token)
+    out = {}
+    for key in sorted(added.keys() | tokens.keys()):
+        values = list(added.get(key, [0] * bins))
+        for t, seen in enumerate(tokens.get(key, [])):
+            values[t] += len(seen)
+        if any(values):
+            out[key] = values
+    return out

@@ -74,6 +74,59 @@ def test_detect_skip_policy_recovers(tmp_path):
     assert rc == 0
 
 
+def test_detect_skip_reports_counts_by_reason(flow_csv, tmp_path, capsys):
+    text = flow_csv.read_text().splitlines()
+    bad = [
+        "1,2,3",
+        "x,0.1,1,2,3,4,TCP,5,2,1,1,1",
+        "0.0,0.1,1,2,3,4,ICMP,5,0,0,0,0",
+        "0.0,0.1,1,2,3,4,TCP,5,100000000000000000000,0,0,0",
+        "0.0,0.1,1,2,3,4,UDP,5,1,0,0,0",
+    ]
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text("\n".join(text[:5] + bad + text[5:]) + "\n")
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        capsys.readouterr()
+        rc = main(["detect", "--input", str(noisy), "--output", str(out), "--errors", "skip"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == ("flowrank: skipped 5 bad lines "
+                       "(field count 1, flags 1, number 1, protocol 1, range 1)\n")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    clean = tmp_path / "clean.csv"
+    assert main(["detect", "--input", str(flow_csv), "--output", str(clean)]) == 0
+    assert clean.read_bytes() == outputs[0]
+    assert "skipped" not in (tmp_path / "a.csv.manifest.json").read_text()
+    assert main(["detect", "--input", str(flow_csv), "--output", str(clean),
+                 "--errors", "skip"]) == 0
+    assert capsys.readouterr().err == "flowrank: skipped 0 bad lines\n"
+
+
+@pytest.mark.parametrize("syn", ["100000000000000000000", "9223372036854775807"])
+def test_detect_counter_overflow_is_a_data_error(tmp_path, capsys, syn):
+    # two records in one bin whose SYN sum would wrap int64
+    rows = [f"0.0,0.1,1,2,3,4,TCP,{syn},{syn},0,0,0"] * 2 + ["1.0,1.1,1,2,3,4,TCP,5,2,0,0,0"]
+    flows = tmp_path / "flows.csv"
+    flows.write_text("\n".join([FLOW_HEADER] + rows) + "\n")
+    out = tmp_path / "alarms.csv"
+    assert main(["detect", "--input", str(flows), "--output", str(out)]) == 2
+    assert "line 2: packets=" in capsys.readouterr().err
+    assert main(["detect", "--input", str(flows), "--output", str(out), "--errors", "skip"]) == 0
+    assert "skipped 2 bad lines (range 2)" in capsys.readouterr().err
+
+
+def test_detect_dense_bad_count_is_a_data_error(tmp_path, capsys):
+    dense = tmp_path / "dense.csv"
+    dense.write_text("key,bin,count\n1,1,100000000000000000000\n")
+    rc = main(["detect", "--input", str(dense), "--format", "dense",
+               "--output", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
 def test_detect_missing_input_is_data_error(tmp_path):
     rc = main(["detect", "--input", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "o.csv")])

@@ -9,6 +9,7 @@ from flowrank.hashrank import (
     SketchTable,
     build_sketch,
     cell_outcomes,
+    hash_buckets,
     hash_eval,
     invert,
     run_window,
@@ -74,6 +75,30 @@ def test_coefficients_validated():
         HashCoefficients((0, 0, 0, MERSENNE_PRIME), 17)
     with pytest.raises(ValueError):
         HashCoefficients((0, 0, 0, 0), 1)
+
+
+def test_hash_buckets_match_hash_eval_bit_for_bit():
+    p = MERSENNE_PRIME
+    rng = np.random.default_rng(41)
+    edge = [0, 1, -1, p - 1, p, p + 1, 2 * p, 2**32 - 1, 2**61, 2**63 - 1, -(2**63)]
+    keys = np.concatenate([
+        np.array(edge, dtype=np.int64),
+        rng.integers(-(2**63), 2**63 - 1, 3000, dtype=np.int64, endpoint=True),
+        rng.integers(0, 2**32, 1000, dtype=np.int64),
+    ])
+    draws = rng.integers(0, p, (12, 4), dtype=np.int64)
+    draws[rng.random((12, 4)) < 0.25] = 0
+    coeffs = [
+        HashCoefficients((0, 0, 0, 0), 17),
+        HashCoefficients((p - 1,) * 4, 2),
+        HashCoefficients((0, 0, 0, p - 1), 1_000_003),
+        *(HashCoefficients(tuple(int(c) for c in row), int(k))
+          for row, k in zip(draws, rng.integers(2, 5000, 12))),
+    ]
+    got = hash_buckets(coeffs, keys)
+    assert got.shape == (len(coeffs), keys.size)
+    for row, c in enumerate(coeffs):
+        assert got[row].tolist() == [hash_eval(c, k) - 1 for k in keys.tolist()]
 
 
 # --- sample_coefficients -------------------------------------------------

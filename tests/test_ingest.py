@@ -1,17 +1,26 @@
 import io
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowrank import ingest
 from flowrank.ingest import (
     FLOW_HEADER,
+    FlowColumns,
     ParseError,
     bin_window,
     iter_flow_csv,
     parse_record,
+    read_flow_csv,
     split_windows,
 )
-from flowrank.model import MetricKind, Protocol, WindowConfig
+from flowrank.model import COUNTERS, FlowRecord, MetricKind, Protocol, WindowConfig
+
+from oracles import bin_records, split_records
 
 
 def flow_line(ts, dst_ip=20, syn=1, proto="TCP", packets=10, src_ip=10, dst_port=80):
@@ -79,7 +88,7 @@ def test_bad_timestamps_rejected_under_both_policies(bad_ts):
     with pytest.raises(ParseError):
         list(iter_flow_csv(csv_of([flow_line(0.0), f"{bad_ts},{bad_ts},1,2,3,4,TCP,1,0,0,0,0"])))
     src = csv_of([flow_line(0.0), f"{bad_ts},{bad_ts},1,2,3,4,TCP,1,0,0,0,0", flow_line(1.0)])
-    batches = list(split_windows(iter_flow_csv(src, errors="skip"), cfg3()))
+    batches = list(split_windows(read_flow_csv(src, errors="skip"), cfg3()))
     assert [b.window_index for b in batches] == [0]
     assert np.array_equal(batches[0].series[20].values, [1, 1, 0])
 
@@ -89,7 +98,7 @@ def test_negative_and_near_limit_timestamps_accepted():
     assert parse_record(flow_line(4294967295.0), 2).ts_start == 4294967295.0
     with pytest.raises(ParseError):
         parse_record(flow_line(4294967296.0), 2)
-    batches = list(split_windows([parse_record(flow_line(-5.0), 2)], cfg3()))
+    batches = list(split_windows(FlowColumns.from_records([parse_record(flow_line(-5.0), 2)]), cfg3()))
     assert batches[0].start_time == -5.0
 
 
@@ -102,7 +111,7 @@ def test_bin_window_adds_syn_counts():
         parse_record(flow_line(0.1, syn=2, packets=5), 2),
         parse_record(flow_line(0.7, syn=3, packets=6), 3),
     ]
-    batch = bin_window(records, cfg3())
+    batch = bin_window(FlowColumns.from_records(records), cfg3())
     assert np.array_equal(batch.series[20].values, [5, 0, 0])
 
 
@@ -111,12 +120,12 @@ def test_bin_window_distinct_ports_deduplicate():
         parse_record(flow_line(0.1, dst_port=80), 2),
         parse_record(flow_line(0.5, dst_port=80), 3),
     ]
-    batch = bin_window(records, cfg3(MetricKind.PORT_SCAN))
+    batch = bin_window(FlowColumns.from_records(records), cfg3(MetricKind.PORT_SCAN))
     assert np.array_equal(batch.series[20].values, [1, 0, 0])
 
 
 def test_bin_window_empty_stream():
-    batch = bin_window([], cfg3())
+    batch = bin_window(FlowColumns.from_records([]), cfg3())
     assert batch.num_keys == 0
     assert batch.bins == 3
 
@@ -124,7 +133,7 @@ def test_bin_window_empty_stream():
 def test_bin_window_rejects_out_of_range_record():
     rec = parse_record(flow_line(10.0), 2)
     with pytest.raises(ValueError):
-        bin_window([rec], cfg3(), window_index=0)
+        bin_window(FlowColumns.from_records([rec]), cfg3(), window_index=0)
 
 
 def test_bin_window_is_order_independent():
@@ -134,8 +143,8 @@ def test_bin_window_is_order_independent():
         for _ in range(40)
     ]
     records = [parse_record(l, i) for i, l in enumerate(lines, start=2)]
-    a = bin_window(records, cfg3())
-    b = bin_window(list(reversed(records)), cfg3())
+    a = bin_window(FlowColumns.from_records(records), cfg3())
+    b = bin_window(FlowColumns.from_records(list(reversed(records))), cfg3())
     assert a.series.keys() == b.series.keys()
     for key in a.series:
         assert np.array_equal(a.series[key].values, b.series[key].values)
@@ -154,14 +163,14 @@ def test_bin_window_syn_mass_conservation():
         )
         for i in range(50)
     ]
-    batch = bin_window(records, cfg3())
+    batch = bin_window(FlowColumns.from_records(records), cfg3())
     total = sum(bs.values.sum() for bs in batch.series.values())
     assert total == sum(r.syn for r in records)
 
 
 def test_bin_window_drops_all_zero_keys():
     records = [parse_record(flow_line(0.1, syn=0), 2)]
-    batch = bin_window(records, cfg3())
+    batch = bin_window(FlowColumns.from_records(records), cfg3())
     assert batch.num_keys == 0
 
 
@@ -174,7 +183,7 @@ def test_split_windows_groups_and_aligns():
         parse_record(flow_line(13.0), 4),  # next window
         parse_record(flow_line(19.5), 5),  # skips one empty window
     ]
-    batches = list(split_windows(records, cfg))
+    batches = list(split_windows(FlowColumns.from_records(records), cfg))
     assert [b.window_index for b in batches] == [0, 1, 3]
     assert batches[0].start_time == 10.0
     assert np.array_equal(batches[0].series[20].values, [1, 0, 1])
@@ -184,7 +193,7 @@ def test_split_windows_groups_and_aligns():
 
 
 def test_split_windows_empty_stream():
-    assert list(split_windows([], cfg3())) == []
+    assert list(split_windows(FlowColumns.from_records([]), cfg3())) == []
 
 
 def test_split_windows_unsorted_input():
@@ -193,6 +202,165 @@ def test_split_windows_unsorted_input():
         parse_record(flow_line(13.0), 2),
         parse_record(flow_line(10.4), 3),
     ]
-    batches = list(split_windows(records, cfg))
+    batches = list(split_windows(FlowColumns.from_records(records), cfg))
     assert [b.window_index for b in batches] == [0, 1]
     assert batches[0].start_time == 10.0
+
+
+# --- columnar reader against the per-line reference ----------------------
+
+ODD_FIELDS = (
+    "+5", " 5", "5 ", "1_000", "\u0663", "\uff15", "nan", "inf", "-inf", "1e300", "1e400",
+    "-1", "-0", "", "0x10", "1.5", "007", "1e5", ".5", "5.", "-.5e-3", "1E+02",
+    "4294967295", "4294967296", "65535", "65536", "12345678901", "99999999999999999999",
+    "OTHERX", "OTHE", "tcp", "TCP ",
+)
+
+
+@st.composite
+def flow_text_lines(draw):
+    """A flow CSV line: mostly well-formed, with odd fields, field counts and endings."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(["\n", "  \n", "\t\r\n", "", "\u2003\n"]))
+    ts = draw(st.floats(-1e4, 1e4, allow_nan=False))
+    fmt = draw(st.sampled_from(["{:.3f}", "{!r}", "{:.2e}", "{:.0f}"]))
+    proto = draw(st.sampled_from(["TCP", "TCP", "UDP", "OTHER"]))
+    flags = [draw(st.integers(0, 2) if proto == "TCP" else st.sampled_from([0] * 5 + [1]))
+             for _ in range(4)]
+    fields = [
+        fmt.format(ts),
+        fmt.format(ts + draw(st.floats(0, 5))),
+        *(str(draw(st.integers(0, 2**32 - 1))) for _ in range(2)),
+        *(str(draw(st.integers(0, 2**16 - 1))) for _ in range(2)),
+        proto,
+        str(draw(st.integers(0, 8))),
+        *map(str, flags),
+    ]
+    for i in range(len(fields)):
+        if draw(st.integers(0, 11)) == 0:
+            fields[i] = draw(st.sampled_from(ODD_FIELDS))
+    cut = draw(st.sampled_from([12] * 12 + [11, 13, 1]))
+    fields = (fields + ["0"])[:cut]
+    return ",".join(fields) + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", ""]))
+
+
+def assert_same_columns(got, want):
+    for name, a, b in zip(FlowColumns._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # floats bit for bit
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(flow_text_lines(), max_size=14))
+def test_read_flow_csv_matches_per_line_reference(lines):
+    records, errors = [], []
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            records.append(parse_record(line, line_no))
+        except ParseError as exc:
+            errors.append(exc)
+    source = [FLOW_HEADER + "\n"] + lines
+    with patch.object(ingest, "CHUNK_LINES", 4):  # several chunks per file
+        skipped = Counter()
+        got = read_flow_csv(source, errors="skip", skipped=skipped)
+        assert_same_columns(got, FlowColumns.from_records(records))
+        assert skipped == Counter(exc.reason for exc in errors)
+        assert list(iter_flow_csv(source, errors="skip")) == records
+        if errors:
+            with pytest.raises(ParseError) as info:
+                read_flow_csv(source)
+            first = errors[0]
+            assert (info.value.line_no, str(info.value), info.value.reason) == (
+                first.line_no, str(first), first.reason)
+        else:
+            assert_same_columns(read_flow_csv(source), FlowColumns.from_records(records))
+
+
+def test_canonical_timestamps_match_float_bit_for_bit():
+    rng = np.random.default_rng(12)
+    values = rng.uniform(-2.0**32, 2.0**32, 20000) * 10.0 ** rng.integers(-12, 1, 20000)
+    digits = rng.integers(0, 18, values.size)
+    texts = [f"{v:.{d}f}" if d % 2 else f"{v:.{d}e}" for v, d in zip(values.tolist(), digits)]
+    cols = read_flow_csv(csv_of([f"{t},{t},1,2,3,4,UDP,1,0,0,0,0" for t in texts]))
+    assert cols.ts_start.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+def test_read_flow_csv_reports_skips_by_reason():
+    src = csv_of([
+        flow_line(0.0),
+        "1,2,3",
+        "x,1,1,2,3,4,TCP,1,0,0,0,0",
+        "0,1,1,2,3,4,ICMP,1,0,0,0,0",
+        "0,1,1,2,3,4,TCP,4294967296,0,0,0,0",
+        "0,1,1,2,3,4,TCP,1,1,1,0,0",
+        "nan,1,1,2,3,4,TCP,1,0,0,0,0",
+        "",
+        flow_line(1.0),
+    ])
+    skipped = Counter()
+    cols = read_flow_csv(src, errors="skip", skipped=skipped)
+    assert cols.ts_start.tolist() == [0.0, 1.0]
+    assert skipped == {
+        "field count": 1, "number": 1, "protocol": 1, "range": 1, "flags": 1, "timestamp": 1}
+
+
+def test_read_flow_csv_empty_and_header_only():
+    with pytest.raises(ParseError) as info:
+        read_flow_csv([])
+    assert info.value.reason == "header"
+    cols = read_flow_csv(csv_of([]))
+    assert all(col.size == 0 for col in cols)
+    assert list(split_windows(cols, cfg3())) == []
+
+
+@pytest.mark.parametrize("field", COUNTERS)
+def test_counters_beyond_32_bits_rejected_under_both_policies(field):
+    def line(value):
+        counters = dict.fromkeys(COUNTERS, 0)
+        counters["packets"] = 2**32 - 1
+        counters[field] = value
+        return "0.5,0.6,1,2,3,4,TCP," + ",".join(str(counters[c]) for c in COUNTERS)
+
+    assert getattr(parse_record(line(2**32 - 1), 2), field) == 2**32 - 1
+    for big in (2**32, 10**20, 2**63 - 1):
+        with pytest.raises(ParseError) as info:
+            parse_record(line(big), 3)
+        assert info.value.reason == "range" and f"{field}={big}" in str(info.value)
+        with pytest.raises(ParseError) as info:
+            read_flow_csv(csv_of([line(1), line(big)]))
+        assert info.value.line_no == 3
+        skipped = Counter()
+        cols = read_flow_csv(csv_of([line(1), line(big), line(2)]), errors="skip", skipped=skipped)
+        assert skipped == {"range": 1}
+        assert getattr(cols, field).tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_windows_matches_per_record_oracle(metric, seed):
+    rng = np.random.default_rng(seed)
+    delta, bins = 0.1, 7
+    records = []
+    for _ in range(500):
+        proto = ingest.PROTOCOLS[int(rng.integers(0, 3))]
+        flags = rng.integers(0, 3, 4) if proto is Protocol.TCP else np.zeros(4, dtype=int)
+        ts = 1000.37 + float(rng.uniform(0, 3.5 * delta * bins))
+        records.append(FlowRecord(
+            ts, ts + 0.01, int(rng.integers(0, 6)), int(rng.integers(2**32 - 6, 2**32)),
+            80, int(rng.integers(0, 5)), proto, int(flags.sum() + rng.integers(0, 3)),
+            *map(int, flags),
+        ))
+    rng.shuffle(records)
+    cfg = WindowConfig(delta=delta, bins_per_window=bins, top_m=2, metric=metric)
+    origin, groups = split_records(records, delta, bins)
+    batches = list(split_windows(FlowColumns.from_records(records), cfg))
+    assert [b.window_index for b in batches] == sorted(groups)
+    for batch in batches:
+        expected = bin_records(groups[batch.window_index], metric.value, delta, bins,
+                               batch.window_index, origin)
+        assert batch.start_time == origin + batch.window_index * delta * bins
+        assert {k: s.values.tolist() for k, s in batch.series.items()} == expected
+        assert list(batch.series) == sorted(expected)
+
