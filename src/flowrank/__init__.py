@@ -10,7 +10,6 @@ of the two reductions round out the package.
 
 from .model import (
     Alarm,
-    BinSeries,
     Contribution,
     DetectionMethod,
     FlowRecord,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alarm",
-    "BinSeries",
     "CensoredSeries",
     "Contribution",
     "DetectionMethod",

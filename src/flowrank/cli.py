@@ -53,14 +53,25 @@ def _write_manifest(output: str, command: str, parameters: dict) -> None:
         fh.write("\n")
 
 
-def _detect_config(args: argparse.Namespace) -> WindowConfig:
-    return WindowConfig(
-        delta=args.delta,
-        bins_per_window=args.window,
-        top_m=args.top,
-        keep_mprime=args.keep,
-        level_alpha=args.alpha,
-        metric=_METRICS[args.metric],
+def _config(factory, **params):
+    """`factory(**params)`; a rejected parameter value is a usage error."""
+    try:
+        return factory(**params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _synth_config(args: argparse.Namespace) -> SynthConfig:
+    return _config(
+        SynthConfig,
+        dim=args.dim,
+        bins=args.bins,
+        pareto_shape=args.pareto_shape,
+        pareto_scale=args.pareto_scale,
+        change_rank=args.target_rank,
+        change_bin=args.change_at,
+        factor=args.factor,
+        seed=args.seed,
     )
 
 
@@ -78,7 +89,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
     if args.format == "dense" and args.metric != "syn":
         raise UsageError("dense input is already binned; --metric must stay at its default")
-    cfg = _detect_config(args)
+    cfg = _config(
+        WindowConfig,
+        delta=args.delta,
+        bins_per_window=args.window,
+        top_m=args.top,
+        keep_mprime=args.keep,
+        level_alpha=args.alpha,
+        metric=_METRICS[args.metric],
+    )
     if args.format == "dense":
         batch, _truth = read_dense_csv(args.input, bins=args.window)
         batches = [batch]
@@ -116,17 +135,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SynthConfig(
-        dim=args.dim,
-        bins=args.bins,
-        pareto_shape=args.pareto_shape,
-        pareto_scale=args.pareto_scale,
-        change_rank=args.target_rank,
-        change_bin=args.change_at,
-        factor=args.factor,
-        seed=args.seed,
-    )
-    ds = generate(cfg)
+    ds = generate(_synth_config(args))
     write_dense_csv(ds, args.output)
     _write_manifest(args.output, "simulate", _namespace_params(args))
     print(f"wrote {int((ds.y > 0).sum())} nonzero cells to {args.output}")
@@ -152,16 +161,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
         if args.thresholds
         else list(DEFAULT_THRESHOLDS)
     )
-    cfg = SynthConfig(
-        dim=args.dim,
-        bins=args.bins,
-        pareto_shape=args.pareto_shape,
-        pareto_scale=args.pareto_scale,
-        change_rank=args.target_rank,
-        change_bin=args.change_at,
-        factor=args.factor,
-        seed=args.seed,
-    )
+    cfg = _synth_config(args)
     lines = []
     for method in methods:
         points = roc(

@@ -36,11 +36,9 @@ class RocPoint(NamedTuple):
 
 def score_comprehensive(batch: WindowBatch) -> Scores:
     """Per-key scores without any reduction: every key's raw series is tested."""
-    keys, counts = batch.matrix()
-    w_stat, p_value, change_bin, _ = statistic_batch(counts)
-    return Scores(
-        batch.window_index, DetectionMethod.COMPREHENSIVE, keys, p_value, p_value, w_stat, change_bin
-    )
+    w_stat, p_value, change_bin, _ = statistic_batch(batch.counts)
+    method = DetectionMethod.COMPREHENSIVE
+    return Scores(batch.window_index, method, batch.keys, p_value, p_value, w_stat, change_bin)
 
 
 def comprehensive(batch: WindowBatch, level_alpha: float) -> list[Alarm]:

@@ -8,9 +8,11 @@ over the Mersenne prime 2^61 - 1), and the bucket's series is the sum
 of the series of the keys landing there. A key is a suspect when the
 cell containing it is flagged in every row.
 
-`cell_outcomes` tests all L x K cells in one `statistic_batch` call, and
-`score_window` maps them back to per-key scores; `invert` is the same
-decision in set algebra.
+The sketch (`SketchTable`) keeps the window's ascending keys and their
+0-based buckets (L x N): key n sits in cell `l * K + buckets[l, n]` of
+the row-major cell order. `cell_outcomes` tests all L x K cells in one
+`statistic_batch` call, `score_window` reads every key's L cells back
+from the bucket array, and `invert` is the same decision in set algebra.
 """
 
 from __future__ import annotations
@@ -123,42 +125,53 @@ def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> list[HashCoef
 
 @dataclass(frozen=True)
 class SketchTable:
-    """Aggregated series plus the key lists of every cell.
+    """Aggregated series plus the bucket of every key in every row.
 
     `series[l, k, :]` is the bucket series of row l+1, bucket k+1;
-    `cell_keys[l][k]` lists (ascending) the keys hashed there. Every
-    window key appears in exactly one cell per row, so each row's
-    buckets sum to the window's total series.
+    `buckets[l, n]` is the 0-based bucket of `keys[n]` in row l+1, so
+    cell (l+1, k+1) holds the keys with `buckets[l] == k`. Every window
+    key lands in exactly one cell per row, so each row's buckets sum to
+    the window's total series.
     """
 
-    l_rows: int
-    k_buckets: int
     series: np.ndarray
-    cell_keys: tuple[tuple[tuple[int, ...], ...], ...]
+    keys: np.ndarray
+    buckets: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.series.shape[:2] != (self.l_rows, self.k_buckets):
-            raise ValueError("series shape does not match table geometry")
-        self.series.setflags(write=False)
+        shaped = self.series.ndim == 3 and self.buckets.shape == (self.l_rows, self.keys.size)
+        if not (shaped and self.l_rows):
+            raise ValueError("series must be L x K x P and buckets L x N, with L >= 1")
+        if self.buckets.size and not 0 <= self.buckets.min() <= self.buckets.max() < self.k_buckets:
+            raise ValueError("buckets must lie in 0..K-1")
+        for arr in (self.series, self.keys, self.buckets):
+            arr.setflags(write=False)
+
+    @property
+    def l_rows(self) -> int:
+        return self.series.shape[0]
+
+    @property
+    def k_buckets(self) -> int:
+        return self.series.shape[1]
 
 
 def build_sketch(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> SketchTable:
-    """Hash every key of the window into the L x K table."""
+    """Hash every key of the window into the L x K table; each row sums
+    its buckets' blocks of key-sorted count rows with one `np.add.reduceat`."""
     if not coeffs:
         raise ValueError("need at least one hash row")
     k_buckets = coeffs[0].k_buckets
     if any(c.k_buckets != k_buckets for c in coeffs):
         raise ValueError("all rows must share the same bucket count")
-    l_rows = len(coeffs)
-    keys, counts = batch.matrix()
-    buckets = hash_buckets(coeffs, keys)
-    series = np.zeros((l_rows, k_buckets, batch.bins), dtype=np.int64)
-    np.add.at(series, (np.arange(l_rows)[:, None], buckets), counts)
-    cell_keys = tuple(
-        tuple(tuple(keys[row == bucket].tolist()) for bucket in range(k_buckets))
-        for row in buckets
-    )
-    return SketchTable(l_rows=l_rows, k_buckets=k_buckets, series=series, cell_keys=cell_keys)
+    buckets = hash_buckets(coeffs, batch.keys)
+    series = np.zeros((len(coeffs), k_buckets, batch.bins), dtype=np.int64)
+    for row, bucket in enumerate(buckets):
+        order = np.argsort(bucket, kind="stable")
+        ordered = bucket[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        series[row, ordered[starts]] = np.add.reduceat(batch.counts[order], starts, axis=0)
+    return SketchTable(series=series, keys=batch.keys, buckets=buckets)
 
 
 def cell_outcomes(table: SketchTable) -> BatchOutcome:
@@ -169,20 +182,16 @@ def cell_outcomes(table: SketchTable) -> BatchOutcome:
 def invert(table: SketchTable, cells: Iterable[tuple[int, int]]) -> frozenset[int]:
     """Keys whose cell is flagged in every row.
 
-    Computes the intersection over rows of the union of the flagged
-    cells' key lists in that row.
+    The intersection over rows of the union of the flagged cells' keys
+    in that row, read off the bucket array.
     """
-    flagged = set(cells)
-    suspects: frozenset[int] | None = None
-    for row in range(1, table.l_rows + 1):
-        row_union: set[int] = set()
-        for bucket in range(1, table.k_buckets + 1):
-            if (row, bucket) in flagged:
-                row_union.update(table.cell_keys[row - 1][bucket - 1])
-        suspects = frozenset(row_union) if suspects is None else suspects & row_union
-        if not suspects:
-            return frozenset()
-    return suspects if suspects is not None else frozenset()
+    flagged = np.zeros((table.l_rows, table.k_buckets), dtype=bool)
+    for row, bucket in cells:
+        if not (1 <= row <= table.l_rows and 1 <= bucket <= table.k_buckets):
+            raise ValueError(f"cell ({row}, {bucket}) outside the table")
+        flagged[row - 1, bucket - 1] = True
+    hit = np.take_along_axis(flagged, table.buckets, axis=1).all(axis=0)
+    return frozenset(table.keys[hit].tolist())
 
 
 def score_window(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Scores:
@@ -195,15 +204,11 @@ def score_window(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Scor
     """
     table = build_sketch(batch, coeffs)
     out = cell_outcomes(table)
-    keys = np.array(sorted(batch.series), dtype=np.int64)
-    cells = np.empty((table.l_rows, keys.size), dtype=np.intp)
-    for row, row_cells in enumerate(table.cell_keys):
-        for bucket, members in enumerate(row_cells):
-            cells[row, np.searchsorted(keys, members)] = row * table.k_buckets + bucket
+    cells = table.buckets + table.k_buckets * np.arange(table.l_rows)[:, None]
     p_value = out.p_value[cells]
-    best = cells[p_value.argmin(axis=0), np.arange(keys.size)]
-    report = (out.p_value[best], out.w_stat[best], out.change_bin[best])
-    return Scores(batch.window_index, DetectionMethod.HASHRANK, keys, p_value.max(axis=0), *report)
+    best = cells[p_value.argmin(axis=0), np.arange(table.keys.size)]
+    report = (p_value.max(axis=0), out.p_value[best], out.w_stat[best], out.change_bin[best])
+    return Scores(batch.window_index, DetectionMethod.HASHRANK, table.keys, *report)
 
 
 def run_window(

@@ -33,7 +33,6 @@ from .model import (
     METRIC_FIELDS,
     U16_MAX,
     U32_MAX,
-    BinSeries,
     FlowRecord,
     Protocol,
     RecordError,
@@ -287,7 +286,7 @@ def bin_window(
     window_index: int = 0,
     origin: float = 0.0,
 ) -> WindowBatch:
-    """Accumulate the records of one window into per-key bin series.
+    """Accumulate the records of one window into its key and count arrays.
 
     Every record must start inside the window's time span. Keys whose
     series is identically zero are omitted, so the batch's key count is
@@ -303,9 +302,13 @@ def bin_window(
             f"record at t={float(ts[outside.argmax()])} outside window [{lo}, {hi})"
         )
     proto, key_field, value_field, distinct = METRIC_FIELDS[cfg.metric]
-    rows = slice(None) if proto is None else columns.proto == PROTOCOLS.index(proto)
+    value = getattr(columns, value_field)
+    # every kept record adds to its key (a zero count would not): no all-zero keys
+    rows = (value > 0) | distinct
+    if proto is not None:
+        rows &= columns.proto == PROTOCOLS.index(proto)
     keys, key_row = np.unique(getattr(columns, key_field)[rows], return_inverse=True)
-    value = getattr(columns, value_field)[rows]
+    value = value[rows]
     t = np.minimum((ts[rows] - lo) // cfg.delta, bins - 1).astype(np.int64)
     cell = key_row * bins + t
     if distinct:
@@ -315,15 +318,9 @@ def bin_window(
         first = np.ones(cell.size, dtype=bool)
         first[1:] = (cell[1:] != cell[:-1]) | (value[1:] != value[:-1])
         value = first.astype(np.int64)
-    counts = np.zeros(keys.size * bins, dtype=np.int64)
-    np.add.at(counts, cell, value)
-    counts = counts.reshape(keys.size, bins)
-    alive = counts.any(axis=1)
-    series = {
-        key: BinSeries(key=key, values=values)
-        for key, values in zip(keys[alive].tolist(), counts[alive])
-    }
-    return WindowBatch(window_index=window_index, start_time=lo, bins=bins, series=series)
+    counts = np.zeros((keys.size, bins), dtype=np.int64)
+    np.add.at(counts.reshape(-1), cell, value)
+    return WindowBatch(window_index, lo, keys, counts)
 
 
 def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBatch]:
@@ -337,8 +334,14 @@ def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBat
     ts = columns.ts_start
     if not ts.size:
         return
-    origin = math.floor(float(ts.min()) / cfg.delta) * cfg.delta
+    first, top = float(ts.min()), float(np.abs(ts).max())
+    if not math.isfinite(top / cfg.delta):
+        raise ValueError(f"delta={cfg.delta} is too small for timestamps of magnitude {top}")
+    origin = math.floor(first / cfg.delta) * cfg.delta
     index = (ts - origin) // cfg.window_seconds
+    for lo in (origin, origin + float(index.max()) * cfg.window_seconds):
+        if lo + cfg.window_seconds == lo:
+            raise ValueError(f"window of {cfg.window_seconds} s vanishes at t={lo}")
     order = np.argsort(index, kind="stable")  # keeps file order within a window
     windows, starts = np.unique(index[order], return_index=True)
     for window, rows in zip(windows.tolist(), np.split(order, starts[1:])):

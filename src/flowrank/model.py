@@ -1,16 +1,18 @@
 """Core domain types shared by the detection pipelines.
 
-Flow records, metric definitions, window configuration, per-key count
-series and alarms. Everything here is an immutable value object whose
-constructor validates its invariants, so instances can be shared freely
-between threads and pipeline stages.
+Flow records, metric definitions, window configuration, windows and
+alarms. A window (`WindowBatch`) is ascending keys int64[N] plus their
+counts int64[N, P], read directly by every detector. Everything here is
+an immutable value object whose constructor validates its invariants, so
+instances can be shared freely between threads and pipeline stages.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -173,10 +175,12 @@ class WindowConfig:
     metric: MetricKind = MetricKind.SYN_FLOOD
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.bins_per_window < 2:
             raise ValueError("bins_per_window must be at least 2")
+        if not math.isfinite(self.window_seconds):
+            raise ValueError("delta * bins_per_window must be finite")
         if self.top_m < 1:
             raise ValueError("top_m must be at least 1")
         if not 1 <= self.keep_mprime <= self.top_m:
@@ -190,63 +194,56 @@ class WindowConfig:
 
 
 @dataclass(frozen=True)
-class BinSeries:
-    """Counts for one key across the bins of a window."""
-
-    key: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values)
-        if arr.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if not np.issubdtype(arr.dtype, np.integer):
-            cast = arr.astype(np.int64)
-            if not np.array_equal(cast, arr):
-                raise ValueError("bin counts must be integers")
-            arr = cast
-        else:
-            arr = arr.astype(np.int64, copy=True)
-        if arr.size and arr.min() < 0:
-            raise ValueError("bin counts must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class WindowBatch:
-    """All per-key series observed in one window; an immutable snapshot.
+    """One window as ascending keys int64[N] and their counts int64[N, P].
 
-    The number of keys is the dimension of the window. Constructors
-    normally omit keys whose series is identically zero.
+    Row i of `counts` is the series of `keys[i]` over the window's P
+    bins; N is the dimension of the window. Constructors normally omit
+    keys whose series is identically zero. Both arrays are validated,
+    stored as int64 and made read-only, so a batch is an immutable
+    snapshot: an int64 array that owns its memory is adopted without a
+    copy and frozen in place, any other input is copied.
     """
 
     window_index: int
     start_time: float
-    bins: int
-    series: Mapping[int, BinSeries]
+    keys: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError("bins must be positive")
-        for key, bs in self.series.items():
-            if bs.key != key:
-                raise ValueError(f"series for key {key} carries key {bs.key}")
-            if bs.values.shape[0] != self.bins:
-                raise ValueError(
-                    f"series for key {key} has {bs.values.shape[0]} bins, "
-                    f"expected {self.bins}"
-                )
+        keys = _as_int64(self.keys, "keys")
+        counts = _as_int64(self.counts, "bin counts")
+        if keys.ndim != 1:
+            raise ValueError("keys must be one-dimensional")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("keys must be strictly ascending")
+        if counts.ndim != 2 or counts.shape[0] != keys.size or counts.shape[1] < 1:
+            raise ValueError(f"counts must be N x P with P >= 1, got {counts.shape}")
+        if counts.size and counts.min() < 0:
+            raise ValueError("bin counts must be nonnegative")
+        for name, arr in (("keys", keys), ("counts", counts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def bins(self) -> int:
+        return self.counts.shape[1]
 
     @property
     def num_keys(self) -> int:
-        return len(self.series)
+        return self.keys.size
 
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """The window as ascending keys int64[N] and their counts int64[N, P]."""
-        keys = sorted(self.series)
-        counts = np.array([self.series[k].values for k in keys], dtype=np.int64)
-        return np.array(keys, dtype=np.int64), counts.reshape(len(keys), self.bins)
+
+def _as_int64(values, what: str) -> np.ndarray:
+    """`values` as int64 (an owning int64 array as is, else a checked copy)."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int64 and arr.flags.owndata:
+        return arr
+    with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the check below
+        cast = arr.astype(np.int64)
+    if arr.dtype.kind not in "iub" and not np.array_equal(cast, arr):
+        raise ValueError(f"{what} must be integers that fit 64 bits")
+    return cast
 
 
 @dataclass(frozen=True)

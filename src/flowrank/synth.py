@@ -15,7 +15,7 @@ from typing import IO, Optional, Union
 
 import numpy as np
 
-from .model import U32_MAX, BinSeries, WindowBatch
+from .model import U32_MAX, WindowBatch
 
 DENSE_HEADER = "key,bin,count"
 _INT64 = np.iinfo(np.int64)
@@ -130,9 +130,7 @@ def to_window_batch(ds: SyntheticDataset) -> WindowBatch:
     Unlike ingested batches, all-zero rows are kept: the dataset's
     dimension is part of the experiment.
     """
-    dim, bins = ds.y.shape
-    series = {i + 1: BinSeries(key=i + 1, values=ds.y[i]) for i in range(dim)}
-    return WindowBatch(window_index=0, start_time=0.0, bins=bins, series=series)
+    return WindowBatch(0, 0.0, np.arange(1, ds.y.shape[0] + 1), ds.y)
 
 
 def write_dense_csv(ds: SyntheticDataset, target: Union[str, IO[str]]) -> None:
@@ -194,25 +192,18 @@ def read_dense_csv(
         if bin_index < 1 or count < 0:
             raise ValueError(f"line {line_no}: bin must be >= 1 and count >= 0")
         # the flow counter bound: sums of fewer than 2^31 cells fit int64
-        if count > U32_MAX or not _INT64.min <= key <= _INT64.max:
-            raise ValueError(f"line {line_no}: count must be below 2^32 and key fit 64 bits")
+        if count > U32_MAX or not _INT64.min <= key <= _INT64.max or bin_index > _INT64.max:
+            raise ValueError(f"line {line_no}: count must be below 2^32, key and bin fit 64 bits")
         cells.append((key, bin_index, count))
     if not header_seen:
         raise ValueError("missing header")
-    max_bin = max((b for _, b, _ in cells), default=2)
+    key, bin_index, count = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    max_bin = int(bin_index.max()) if cells else 2
     n_bins = bins if bins is not None else max(max_bin, 2)
     if max_bin > n_bins:
         raise ValueError(f"bin index {max_bin} exceeds configured {n_bins} bins")
-    values: dict[int, np.ndarray] = {}
-    for key, bin_index, count in cells:
-        arr = values.get(key)
-        if arr is None:
-            arr = values[key] = np.zeros(n_bins, dtype=np.int64)
-        arr[bin_index - 1] += count
-    series = {
-        key: BinSeries(key=key, values=arr)
-        for key, arr in sorted(values.items())
-        if arr.any()
-    }
-    batch = WindowBatch(window_index=0, start_time=0.0, bins=n_bins, series=series)
-    return batch, truth
+    keys, row = np.unique(key, return_inverse=True)
+    counts = np.zeros((keys.size, n_bins), dtype=np.int64)
+    np.add.at(counts, (row, bin_index - 1), count)
+    alive = counts.any(axis=1)
+    return WindowBatch(0, 0.0, keys[alive], counts[alive]), truth

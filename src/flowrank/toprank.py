@@ -9,13 +9,13 @@ the information the filtering preserves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import Alarm, DetectionMethod, WindowBatch, WindowConfig
-from .ranktest import NEVER_TESTED, CensoredSeries, Scores, statistic_batch, to_alarms
+from .ranktest import NEVER_TESTED, Scores, statistic_batch, to_alarms
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class TopSet:
     bin: int
     entries: tuple[tuple[int, int], ...]
     censor_bound: int
-    members: frozenset[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(k for k, _ in self.entries))
 
 
 def top_filter(batch: WindowBatch, cfg: WindowConfig) -> list[TopSet]:
@@ -43,17 +39,14 @@ def top_filter(batch: WindowBatch, cfg: WindowConfig) -> list[TopSet]:
     table. Selection is by count descending, then key ascending, so the
     result is independent of input ordering.
     """
-    m = cfg.top_m
-    keys, values = batch.matrix()
     tops = []
-    for t in range(batch.bins):
-        col = values[:, t]
+    for t, col in enumerate(batch.counts.T):
         # keys are presorted ascending, so a stable sort on -count keeps
         # the smaller key first among equal counts
-        order = np.argsort(-col, kind="stable")[:m]
+        order = np.argsort(-col, kind="stable")[: cfg.top_m]
         order = order[col[order] > 0]
-        entries = tuple((int(keys[i]), int(col[i])) for i in order)
-        bound = entries[-1][1] if len(entries) == m else 0
+        entries = tuple(zip(batch.keys[order].tolist(), col[order].tolist()))
+        bound = entries[-1][1] if len(entries) == cfg.top_m else 0
         tops.append(TopSet(bin=t + 1, entries=entries, censor_bound=bound))
     return tops
 
@@ -100,26 +93,31 @@ def candidates_budget(tops: Sequence[TopSet], n: int) -> list[int]:
     return out
 
 
-def censor(batch: WindowBatch, tops: Sequence[TopSet], key: int) -> CensoredSeries:
-    """Censored series of one key against the window's top tables.
+def censor(
+    batch: WindowBatch, tops: Sequence[TopSet], keys: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Censored series of `keys` against the window's top tables.
 
-    Bins where the key was retained carry its true count and an
-    observed flag; elsewhere the bin carries the table's censor bound
-    as an upper bound.
+    Returns x int64[C, P] and observed bool[C, P], row c for keys[c].
+    Bins where a key was retained carry its true count and an observed
+    flag; elsewhere the bin carries the table's censor bound as an
+    upper bound.
     """
-    if key not in batch.series:
-        raise KeyError(f"key {key} did not appear in the window")
-    raw = batch.series[key].values
-    x = np.empty(batch.bins, dtype=np.int64)
-    observed = np.zeros(batch.bins, dtype=bool)
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    rows = np.searchsorted(batch.keys, keys)
+    found = rows < batch.num_keys
+    found[found] = batch.keys[rows[found]] == keys[found]
+    if not found.all():
+        raise KeyError(f"key {keys[~found][0]} did not appear in the window")
+    row_of = {key: c for c, key in enumerate(keys.tolist())}
+    observed = np.zeros((keys.size, batch.bins), dtype=bool)
+    bound = np.zeros(batch.bins, dtype=np.int64)
     for ts in tops:
-        t = ts.bin - 1
-        if key in ts.members:
-            x[t] = raw[t]
-            observed[t] = True
-        else:
-            x[t] = ts.censor_bound
-    return CensoredSeries(key=key, x=x, observed=observed)
+        bound[ts.bin - 1] = ts.censor_bound
+        for key, _ in ts.entries:
+            if key in row_of:
+                observed[row_of[key], ts.bin - 1] = True
+    return np.where(observed, batch.counts[rows], bound), observed
 
 
 def score_window(
@@ -137,19 +135,12 @@ def score_window(
         cands = candidates(tops, cfg.keep_mprime)
     else:
         cands = candidates_budget(tops, budget)
-    series = [censor(batch, tops, key) for key in cands]
-    out = statistic_batch(
-        np.array([s.x for s in series]).reshape(len(cands), batch.bins),
-        np.array([s.observed for s in series]).reshape(len(cands), batch.bins),
-    )
-    keys = np.array(sorted(batch.series), dtype=np.int64)
-    at = np.searchsorted(keys, cands)
-    p_value = np.full(keys.size, NEVER_TESTED)
-    stat, change_bin = np.zeros(keys.size), np.zeros(keys.size, dtype=np.int64)
+    out = statistic_batch(*censor(batch, tops, cands))
+    at, n = np.searchsorted(batch.keys, cands), batch.num_keys
+    p_value, stat, change_bin = np.full(n, NEVER_TESTED), np.zeros(n), np.zeros(n, np.int64)
     p_value[at], stat[at], change_bin[at] = out.p_value, out.w_stat, out.change_bin
-    return Scores(
-        batch.window_index, DetectionMethod.TOPRANK, keys, p_value, p_value, stat, change_bin
-    )
+    method = DetectionMethod.TOPRANK
+    return Scores(batch.window_index, method, batch.keys, p_value, p_value, stat, change_bin)
 
 
 def run_window(

@@ -1,11 +1,13 @@
 """Independent brute-force references the tests pin expected values against.
 
 Everything here is written as directly as possible from the defining
-formulas (explicit double loops, plain floats) and shares no code with
-the package implementation.
+formulas (explicit double loops or all-pairs comparisons, plain floats)
+and shares no code with the package implementation.
 """
 
 import math
+
+import numpy as np
 
 
 def brute_statistic(x, observed):
@@ -53,6 +55,25 @@ def brute_statistic(x, observed):
         "change_bin": change_bin,
         "degenerate": False,
     }
+
+
+def cube_statistic(x, observed):
+    """The censored rank statistic of every row by the B x P x P comparison cube.
+
+    x and observed are B x P arrays. Compares every ordered bin pair of
+    each row at once, then forms the paths as the kernel does. Returns
+    u, s_path, w, change_bin (1-based) and degenerate as row arrays.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    observed = np.asarray(observed, dtype=bool)
+    above = (x[:, :, None] > x[:, None, :]) & observed[:, :, None]
+    below = (x[:, :, None] < x[:, None, :]) & observed[:, None, :]
+    u = above.sum(axis=2) - below.sum(axis=2)
+    denom = (u * u).sum(axis=1)
+    s_path = np.cumsum(u, axis=1) / np.sqrt(np.maximum(denom, 1))[:, None]
+    idx = np.abs(s_path).argmax(axis=1)
+    w = np.abs(s_path)[np.arange(x.shape[0]), idx]
+    return {"u": u, "s_path": s_path, "w": w, "change_bin": idx + 1, "degenerate": denom == 0}
 
 
 def bridge_tail(b, tol=1e-16, max_terms=1_000_000):

@@ -18,7 +18,7 @@ from flowrank.fisher import (
     limit_info_max,
 )
 from flowrank.hashrank import SketchTable, build_sketch, invert, sample_coefficients
-from flowrank.model import BinSeries, DetectionMethod, WindowBatch
+from flowrank.model import DetectionMethod, WindowBatch
 from flowrank.ranktest import CensoredSeries, pvalue, score_pair, statistic
 from flowrank.synth import SynthConfig, sample_pareto
 
@@ -148,18 +148,14 @@ def test_criterion_06_sketch_conservation_and_inversion():
     for _ in range(100):
         dim = int(rng.integers(2, 60))
         bins = int(rng.integers(2, 12))
-        series = {}
-        for key in rng.choice(5000, size=dim, replace=False).tolist():
-            values = rng.integers(0, 7, bins)
-            if values.any():
-                series[int(key)] = BinSeries(key=int(key), values=values)
-        batch = WindowBatch(0, 0.0, bins, series)
+        keys = rng.choice(5000, size=dim, replace=False)
+        counts = np.array([rng.integers(0, 7, bins) for _ in range(dim)])
+        order = np.argsort(keys)
+        order = order[counts[order].any(axis=1)]  # ascending keys, all-zero rows dropped
+        batch = WindowBatch(0, 0.0, keys[order], counts[order])
         coeffs = sample_coefficients(int(rng.integers(0, 10_000)), 4, 9)
         table = build_sketch(batch, coeffs)
-        if series:
-            total = np.sum([bs.values for bs in series.values()], axis=0)
-        else:
-            total = np.zeros(bins, dtype=np.int64)
+        total = counts.sum(axis=0)
         for row in range(4):
             conserved &= bool(np.array_equal(table.series[row].sum(axis=0), total))
     inversion_ok = True
@@ -176,10 +172,9 @@ def test_criterion_06_sketch_conservation_and_inversion():
             for row in range(l_rows)
         )
         table = SketchTable(
-            l_rows=l_rows,
-            k_buckets=k_buckets,
             series=np.zeros((l_rows, k_buckets, 2), dtype=np.int64),
-            cell_keys=cell_keys,
+            keys=np.array(keys, dtype=np.int64),
+            buckets=assignment - 1,
         )
         flagged = {
             (row, bucket)

@@ -133,7 +133,7 @@ def test_detect_missing_input_is_data_error(tmp_path):
     assert rc == 2
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
     for argv in (
         ["detect", "--method", "bogus", "--input", "x"],
         ["detect", "--input", "x", "--threads", "2"],  # detect has no --threads
@@ -141,6 +141,25 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
+    # parameter values the configuration rejects are usage errors too
+    out = str(tmp_path / "out.csv")
+    for extra in (
+        ["detect", "--alpha", "2"],
+        ["detect", "--top", "0"],
+        ["detect", "--keep", "11", "--top", "10"],
+        ["detect", "--delta", "nan"],
+        ["detect", "--delta", "inf"],
+        ["simulate", "--bins", "1"],
+        ["roc", "--factor", "0"],
+    ):
+        io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
+        assert main([*extra, *io_args, "--output", out]) == 1, extra
+        assert "flowrank: error:" in capsys.readouterr().err
+    # a bin length float64 cannot resolve at the data's timestamps is a data error
+    for delta in (["--delta", "1e-300"], ["--delta", "1e-9", "--window", "2"]):
+        assert main(["detect", "--input", str(flow_csv), "--output", out, *delta]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
 
 
 def test_simulate_then_detect_dense(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowrank.evaluate import DEFAULT_THRESHOLDS, comprehensive, roc
-from flowrank.model import BinSeries, DetectionMethod, WindowBatch, WindowConfig
+from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
 from flowrank.ranktest import statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
 from flowrank.toprank import run_window
@@ -22,13 +22,13 @@ def test_comprehensive_tests_every_key():
     assert 4 in [a.key for a in alarms]
     assert all(a.method is DetectionMethod.COMPREHENSIVE for a in alarms)
     for alarm in alarms:
-        out = statistic_uncensored(batch.series[alarm.key].values)
+        out = statistic_uncensored(batch.counts[batch.keys.tolist().index(alarm.key)])
         assert alarm.p_value == out.p_value
 
 
 def test_comprehensive_single_key_matches_detect():
     values = np.concatenate([np.ones(10, dtype=int), np.full(10, 30, dtype=int)])
-    batch = WindowBatch(0, 0.0, 20, {1: BinSeries(key=1, values=values)})
+    batch = WindowBatch(0, 0.0, [1], [values])
     alarms = comprehensive(batch, 1e-3)
     assert len(alarms) == 1
     assert alarms[0].p_value == statistic_uncensored(values).p_value
@@ -38,10 +38,7 @@ def test_comprehensive_contains_uncensored_toprank_alarms():
     # every key active in every bin and a filter deep enough to keep all:
     # candidate series are then uncensored, so statistics coincide
     rng = np.random.default_rng(14)
-    series = {
-        k: BinSeries(key=k, values=rng.integers(1, 40, 30)) for k in range(1, 12)
-    }
-    batch = WindowBatch(0, 0.0, 30, series)
+    batch = WindowBatch(0, 0.0, range(1, 12), [rng.integers(1, 40, 30) for _ in range(11)])
     cfg = WindowConfig(bins_per_window=30, top_m=11, keep_mprime=11, level_alpha=0.3)
     top_alarms = run_window(batch, cfg)
     full_alarms = comprehensive(batch, 0.3)
@@ -103,9 +100,8 @@ def test_roc_threshold_one_matches_direct_statistics():
     batch = to_window_batch(generate(cfg))
     alive = [
         key
-        for key in batch.series
-        if key != cfg.change_rank
-        and statistic_uncensored(batch.series[key].values).p_value < 1.0
+        for key, values in zip(batch.keys.tolist(), batch.counts)
+        if key != cfg.change_rank and statistic_uncensored(values).p_value < 1.0
     ]
     assert points[0].fa_rate == pytest.approx(len(alive) / (cfg.dim - 1))
     assert points[0].det_rate == 1.0

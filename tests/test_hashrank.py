@@ -16,18 +16,15 @@ from flowrank.hashrank import (
     sample_coefficients,
     score_window,
 )
-from flowrank.model import BinSeries, DetectionMethod, WindowBatch
+from flowrank.model import DetectionMethod, WindowBatch
 from flowrank.ranktest import statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
 
 
 def make_batch(values_by_key, bins):
-    series = {
-        k: BinSeries(key=k, values=v)
-        for k, v in values_by_key.items()
-        if np.asarray(v).any()
-    }
-    return WindowBatch(window_index=0, start_time=0.0, bins=bins, series=series)
+    keys = sorted(k for k, v in values_by_key.items() if np.asarray(v).any())
+    counts = np.array([values_by_key[k] for k in keys]).reshape(len(keys), bins)
+    return WindowBatch(window_index=0, start_time=0.0, keys=keys, counts=counts)
 
 
 def identity_coeffs(k_buckets, rows=1):
@@ -134,7 +131,7 @@ def test_sketch_single_key_occupies_one_cell_per_row():
         assert np.array_equal(table.series[row, bucket], values)
         other = np.delete(table.series[row], bucket, axis=0)
         assert not other.any()
-        assert table.cell_keys[row][bucket] == (42,)
+        assert table.buckets[row].tolist() == [bucket]
 
 
 def test_sketch_colliding_keys_sum():
@@ -144,7 +141,7 @@ def test_sketch_colliding_keys_sum():
     assert np.array_equal(table.series[0, 0], [3, 1, 0])
     merged = build_sketch(batch, [HashCoefficients((0, 0, 0, 0), 2)])
     assert np.array_equal(merged.series[0, 0], [4, 1, 2])
-    assert merged.cell_keys[0][0] == (1, 2)
+    assert merged.keys[merged.buckets[0] == 0].tolist() == [1, 2]
 
 
 def test_sketch_row_mass_conservation_random():
@@ -155,7 +152,7 @@ def test_sketch_row_mass_conservation_random():
         )
         coeffs = sample_coefficients(int(rng.integers(0, 1000)), 4, 9)
         table = build_sketch(batch, coeffs)
-        total = np.sum([bs.values for bs in batch.series.values()], axis=0)
+        total = batch.counts.sum(axis=0)
         for row in range(4):
             assert np.array_equal(table.series[row].sum(axis=0), total)
 
@@ -176,6 +173,17 @@ def test_sketch_mismatched_buckets_rejected():
     coeffs = [HashCoefficients((0, 1, 0, 0), 4), HashCoefficients((0, 1, 0, 0), 5)]
     with pytest.raises(ValueError):
         build_sketch(batch, coeffs)
+
+
+def test_sketch_of_empty_window():
+    # a window whose records all miss the metric (say, only UDP under syn)
+    batch = make_batch({}, bins=4)
+    coeffs = sample_coefficients(5, 3, 7)
+    table = build_sketch(batch, coeffs)
+    assert table.series.shape == (3, 7, 4) and not table.series.any()
+    assert table.buckets.shape == (3, 0)
+    assert invert(table, {(1, 1), (2, 1), (3, 1)}) == frozenset()
+    assert run_window(batch, coeffs, 0.5) == []
 
 
 # --- cell_outcomes / invert ----------------------------------------------
@@ -235,14 +243,26 @@ def test_detect_cells_threshold_near_one_flags_everything_alive():
 
 
 def test_invert_intersects_row_unions():
-    series = np.zeros((2, 6, 2), dtype=np.int64)
-    cell_keys = (
-        ((), (), (10, 11), (), (), ()),
-        ((), (), (), (), (11, 12), ()),
+    # cells (1, 3) = {10, 11}, (1, 1) = {12}, (2, 5) = {11, 12}, (2, 1) = {10}
+    table = SketchTable(
+        series=np.zeros((2, 6, 2), dtype=np.int64),
+        keys=np.array([10, 11, 12]),
+        buckets=np.array([[2, 2, 0], [0, 4, 4]]),
     )
-    table = SketchTable(l_rows=2, k_buckets=6, series=series, cell_keys=cell_keys)
     assert invert(table, {(1, 3), (2, 5)}) == {11}
     assert invert(table, set()) == frozenset()
+    for cell in ((0, 1), (3, 1), (1, 7)):
+        with pytest.raises(ValueError):
+            invert(table, {cell})
+
+
+def test_sketch_table_checks_geometry():
+    series, keys = np.zeros((2, 6, 2), dtype=np.int64), np.array([10, 11, 12])
+    for buckets in ([[0, 1, 6], [0, 0, 0]], [[0, -1, 2], [0, 0, 0]], [[0, 1, 2]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError):
+            SketchTable(series=series, keys=keys, buckets=np.array(buckets))
+    with pytest.raises(ValueError):
+        SketchTable(series=np.zeros((0, 6, 2)), keys=keys[:0], buckets=np.zeros((0, 0), int))
 
 
 @settings(max_examples=50)
@@ -268,10 +288,9 @@ def test_invert_matches_set_algebra(data):
         if data.draw(st.booleans())
     }
     table = SketchTable(
-        l_rows=l_rows,
-        k_buckets=k_buckets,
         series=np.zeros((l_rows, k_buckets, 2), dtype=np.int64),
-        cell_keys=cell_keys,
+        keys=np.array(keys),
+        buckets=np.array(assignment) - 1,
     )
     expected = None
     for row in range(1, l_rows + 1):
@@ -301,7 +320,7 @@ def test_alarm_set_matches_p_alarm_and_inversion(level_alpha):
     batch = to_window_batch(generate(cfg))
     coeffs = sample_coefficients(41, 4, 7)
     scores = score_window(batch, coeffs)
-    assert list(scores.keys) == sorted(batch.series)
+    assert np.array_equal(scores.keys, batch.keys)
     alarmed = {a.key for a in run_window(batch, coeffs, level_alpha)}
     assert alarmed == {int(k) for k in scores.keys[scores.p_alarm < level_alpha]}
     table = build_sketch(batch, coeffs)

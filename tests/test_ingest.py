@@ -90,7 +90,7 @@ def test_bad_timestamps_rejected_under_both_policies(bad_ts):
     src = csv_of([flow_line(0.0), f"{bad_ts},{bad_ts},1,2,3,4,TCP,1,0,0,0,0", flow_line(1.0)])
     batches = list(split_windows(read_flow_csv(src, errors="skip"), cfg3()))
     assert [b.window_index for b in batches] == [0]
-    assert np.array_equal(batches[0].series[20].values, [1, 1, 0])
+    assert series_of(batches[0])[20] == [1, 1, 0]
 
 
 def test_negative_and_near_limit_timestamps_accepted():
@@ -100,6 +100,11 @@ def test_negative_and_near_limit_timestamps_accepted():
         parse_record(flow_line(4294967296.0), 2)
     batches = list(split_windows(FlowColumns.from_records([parse_record(flow_line(-5.0), 2)]), cfg3()))
     assert batches[0].start_time == -5.0
+
+
+def series_of(batch):
+    """{key: list of bin counts} of a window batch."""
+    return {k: row.tolist() for k, row in zip(batch.keys.tolist(), batch.counts)}
 
 
 def cfg3(metric=MetricKind.SYN_FLOOD):
@@ -112,7 +117,7 @@ def test_bin_window_adds_syn_counts():
         parse_record(flow_line(0.7, syn=3, packets=6), 3),
     ]
     batch = bin_window(FlowColumns.from_records(records), cfg3())
-    assert np.array_equal(batch.series[20].values, [5, 0, 0])
+    assert series_of(batch)[20] == [5, 0, 0]
 
 
 def test_bin_window_distinct_ports_deduplicate():
@@ -121,7 +126,7 @@ def test_bin_window_distinct_ports_deduplicate():
         parse_record(flow_line(0.5, dst_port=80), 3),
     ]
     batch = bin_window(FlowColumns.from_records(records), cfg3(MetricKind.PORT_SCAN))
-    assert np.array_equal(batch.series[20].values, [1, 0, 0])
+    assert series_of(batch)[20] == [1, 0, 0]
 
 
 def test_bin_window_empty_stream():
@@ -145,9 +150,7 @@ def test_bin_window_is_order_independent():
     records = [parse_record(l, i) for i, l in enumerate(lines, start=2)]
     a = bin_window(FlowColumns.from_records(records), cfg3())
     b = bin_window(FlowColumns.from_records(list(reversed(records))), cfg3())
-    assert a.series.keys() == b.series.keys()
-    for key in a.series:
-        assert np.array_equal(a.series[key].values, b.series[key].values)
+    assert series_of(a) == series_of(b)
 
 
 def test_bin_window_syn_mass_conservation():
@@ -164,7 +167,7 @@ def test_bin_window_syn_mass_conservation():
         for i in range(50)
     ]
     batch = bin_window(FlowColumns.from_records(records), cfg3())
-    total = sum(bs.values.sum() for bs in batch.series.values())
+    total = batch.counts.sum()
     assert total == sum(r.syn for r in records)
 
 
@@ -186,14 +189,27 @@ def test_split_windows_groups_and_aligns():
     batches = list(split_windows(FlowColumns.from_records(records), cfg))
     assert [b.window_index for b in batches] == [0, 1, 3]
     assert batches[0].start_time == 10.0
-    assert np.array_equal(batches[0].series[20].values, [1, 0, 1])
-    assert np.array_equal(batches[1].series[20].values, [1, 0, 0])
+    assert series_of(batches[0])[20] == [1, 0, 1]
+    assert series_of(batches[1])[20] == [1, 0, 0]
     # trailing partial window still spans all bins, zero padded
-    assert batches[2].series[20].values.shape == (3,)
+    assert batches[2].counts.shape == (1, 3)
 
 
 def test_split_windows_empty_stream():
     assert list(split_windows(FlowColumns.from_records([]), cfg3())) == []
+
+
+@pytest.mark.parametrize("delta,bins,stamps,match", [
+    (1e-300, 60, [0.0, 1.7e9], "too small"),  # ts / delta overflows
+    (1e-300, 60, [-1.7e9, 0.0], "too small"),
+    (1e-9, 2, [1.7e9, 1.7e9 + 1], "vanishes"),  # the 2 ns window is below one ulp
+    (1e-7, 2, [0.0, 4.0e9], "vanishes"),  # resolvable at the origin, not at the last window
+])
+def test_split_windows_rejects_unresolvable_delta(delta, bins, stamps, match):
+    cfg = WindowConfig(delta=delta, bins_per_window=bins, top_m=2)
+    records = [parse_record(flow_line(t), i) for i, t in enumerate(stamps, start=2)]
+    with pytest.raises(ValueError, match=match):
+        list(split_windows(FlowColumns.from_records(records), cfg))
 
 
 def test_split_windows_unsorted_input():
@@ -361,6 +377,6 @@ def test_split_windows_matches_per_record_oracle(metric, seed):
         expected = bin_records(groups[batch.window_index], metric.value, delta, bins,
                                batch.window_index, origin)
         assert batch.start_time == origin + batch.window_index * delta * bins
-        assert {k: s.values.tolist() for k, s in batch.series.items()} == expected
-        assert list(batch.series) == sorted(expected)
+        assert series_of(batch) == expected
+        assert batch.keys.tolist() == sorted(expected)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowrank.model import (
-    BinSeries,
     FlowRecord,
     MetricKind,
     Protocol,
@@ -102,6 +101,9 @@ def test_flow_record_rejects_out_of_range_fields():
         {"keep_mprime": 11, "top_m": 10},
         {"level_alpha": 0.0},
         {"level_alpha": 1.0},
+        {"delta": float("nan")},
+        {"delta": float("inf")},
+        {"delta": 1e308},  # finite, but the 60-bin window span overflows
     ],
 )
 def test_window_config_validation(kwargs):
@@ -115,22 +117,46 @@ def test_window_config_defaults_and_span():
     assert cfg.window_seconds == 60.0
 
 
-def test_bin_series_is_frozen_and_validated():
-    bs = BinSeries(key=1, values=[1, 0, 2])
+def test_window_batch_counts_are_frozen_and_validated():
+    source = np.array([[1, 0, 2], [0, 3, 0]], dtype=np.int32)
+    batch = WindowBatch(0, 0.0, [4, 9], source)
+    source[0, 0] = 7  # any input but an owning int64 array is copied
+    assert batch.counts.tolist() == [[1, 0, 2], [0, 3, 0]]
+    assert batch.keys.dtype == batch.counts.dtype == np.int64
     with pytest.raises(ValueError):
-        bs.values[0] = 9
+        batch.counts[0, 0] = 9
     with pytest.raises(ValueError):
-        BinSeries(key=1, values=[1, -1])
+        batch.keys[0] = 5
+    # an owning int64 array is adopted and frozen, a view of one is copied
+    owned = np.array([[1, 0, 2], [0, 3, 0]], dtype=np.int64)
+    assert WindowBatch(0, 0.0, [4, 9], owned).counts is owned
+    assert not owned.flags.writeable
+    base = np.array([[1, 0, 2], [0, 3, 0]], dtype=np.int64)
+    view = WindowBatch(0, 0.0, [4, 9], base[:, :2])
+    base[0, 0] = 7
+    assert view.counts.tolist() == [[1, 0], [0, 3]] and base.flags.writeable
+    # a rejected array is left writable
+    bad = np.array([[1, -1]], dtype=np.int64)
     with pytest.raises(ValueError):
-        BinSeries(key=1, values=[1.5, 2.0])
+        WindowBatch(0, 0.0, [1], bad)
+    assert bad.flags.writeable
     # integral floats are accepted and stored as integers
-    assert BinSeries(key=1, values=[1.0, 2.0]).values.dtype == np.int64
+    floats = WindowBatch(0, 0.0, [1.0, 2.0], [[1.0, 2.0], [0.0, 4.0]])
+    assert floats.counts.dtype == floats.keys.dtype == np.int64
+    assert floats.counts.tolist() == [[1, 2], [0, 4]]
+    for bad in ([[1, -1]], [[1.5, 2.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[2.0**63, 1.0]]):
+        with pytest.raises(ValueError):
+            WindowBatch(0, 0.0, [1], bad)
 
 
-def test_window_batch_checks_series_consistency():
-    with pytest.raises(ValueError):
-        WindowBatch(0, 0.0, 3, {1: BinSeries(key=2, values=[1, 0, 0])})
-    with pytest.raises(ValueError):
-        WindowBatch(0, 0.0, 3, {1: BinSeries(key=1, values=[1, 0])})
-    batch = WindowBatch(0, 0.0, 2, {5: BinSeries(key=5, values=[1, 0])})
-    assert batch.num_keys == 1
+def test_window_batch_checks_keys_and_shape():
+    for keys in ([2, 1], [1, 1], [[1, 2]], [1.5, 2.0]):
+        with pytest.raises(ValueError):
+            WindowBatch(0, 0.0, keys, np.zeros((2, 3)))
+    for counts in (np.zeros((2, 3)), np.zeros((1, 0)), np.zeros(3), np.zeros((1, 3, 1))):
+        with pytest.raises(ValueError):
+            WindowBatch(0, 0.0, [5], counts)
+    batch = WindowBatch(0, 0.0, [5], [[1, 0]])
+    assert (batch.num_keys, batch.bins) == (1, 2)
+    empty = WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
+    assert (empty.num_keys, empty.bins) == (0, 4)

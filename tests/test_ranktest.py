@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flowrank import ranktest
 from flowrank.model import DetectionMethod
 from flowrank.ranktest import (
     CensoredSeries,
@@ -19,7 +20,7 @@ from flowrank.ranktest import (
     to_alarms,
 )
 
-from oracles import bridge_tail, brute_statistic
+from oracles import bridge_tail, brute_statistic, cube_statistic
 
 
 def random_censored(rng, n):
@@ -126,6 +127,43 @@ def test_statistic_matches_bruteforce_on_random_series():
             assert out.p_value == uncensored.p_value[i]
             assert out.change_bin == uncensored.change_bin[i]
             assert out.degenerate == uncensored.degenerate[i]
+
+
+def kernel_cases(rng):
+    """(name, x, observed) blocks on the edges of the sort kernel."""
+    ties = rng.integers(0, 3, (300, 9))
+    near = 2**32 - 1 - rng.integers(0, 4, (200, 10))
+    cases = [
+        ("two bins", rng.integers(0, 3, (200, 2)), rng.random((200, 2)) < 0.5),
+        ("constant rows", np.full((20, 7), 4), rng.random((20, 7)) < 0.5),
+        ("all censored", rng.integers(0, 5, (50, 8)), np.zeros((50, 8), dtype=bool)),
+        ("one observed bin", rng.integers(0, 4, (60, 6)), np.eye(6, dtype=bool)[rng.integers(0, 6, 60)]),
+        ("heavy ties", ties, rng.random((300, 9)) < 0.6),
+        ("heavy ties, exp", np.exp(ties), rng.random((300, 9)) < 0.6),
+        ("near 2^32", near, rng.random((200, 10)) < 0.7),
+        ("near 2^32, exp", np.exp(near / 2**28), rng.random((200, 10)) < 0.7),
+    ]
+    rows = 2 * ranktest._BLOCK_ROWS + 37  # three kernel blocks, the last partial
+    cases.append(("several blocks", rng.poisson(2.0, (rows, 12)), rng.random((rows, 12)) < 0.8))
+    return cases
+
+
+def test_statistic_batch_matches_cube_and_brute_oracles():
+    rng = np.random.default_rng(17)
+    for name, x, observed in kernel_cases(rng):
+        many = statistic_batch(x, observed)
+        cube = cube_statistic(x, observed)
+        assert np.array_equal(many.w_stat, cube["w"]), name
+        assert np.array_equal(many.change_bin, cube["change_bin"]), name
+        assert np.array_equal(many.degenerate, cube["degenerate"]), name
+        assert many.p_value.tolist() == [pvalue(b) for b in cube["w"].tolist()], name
+        for i in range(x.shape[0]):
+            one = statistic(CensoredSeries(1, x[i], observed[i]))
+            ref = brute_statistic(x[i].tolist(), observed[i].tolist())
+            assert one.u_scores.tolist() == cube["u"][i].tolist() == ref["u"], name
+            assert one.s_path.tolist() == cube["s_path"][i].tolist() == ref["s_path"], name
+            assert many.w_stat[i] == ref["w"] and many.change_bin[i] == ref["change_bin"], name
+            assert many.degenerate[i] == ref["degenerate"], name
 
 
 def test_statistic_batch_empty_and_shape_checks():

@@ -104,8 +104,8 @@ def test_to_window_batch_round_trip():
     ds = generate(cfg)
     batch = to_window_batch(ds)
     assert batch.num_keys == 25
-    for i in range(25):
-        assert np.array_equal(batch.series[i + 1].values, ds.y[i])
+    assert np.array_equal(batch.keys, np.arange(1, 26))
+    assert np.array_equal(batch.counts, ds.y)
 
 
 def test_to_window_batch_empty():
@@ -125,12 +125,22 @@ def test_dense_csv_round_trip():
     assert text.splitlines()[1] == "key,bin,count"
     batch, truth = read_dense_csv(io.StringIO(text), bins=10)
     assert truth == {"i0": 3, "j0": 5, "eta": 4.0}
-    for key, bs in batch.series.items():
-        assert np.array_equal(bs.values, ds.y[key - 1])
+    for key, values in zip(batch.keys.tolist(), batch.counts):
+        assert np.array_equal(values, ds.y[key - 1])
     # keys absent from the file are the all-zero rows
-    missing = set(range(1, 21)) - set(batch.series)
+    missing = set(range(1, 21)) - set(batch.keys.tolist())
     for key in missing:
         assert not ds.y[key - 1].any()
+
+
+def test_dense_csv_sums_duplicate_lines_and_drops_zero_keys():
+    text = "key,bin,count\n7,2,3\n-4,1,0\n7,2,5\n2,3,1\n7,1,1\n9,1,0\n-4,3,0\n"
+    batch, truth = read_dense_csv(io.StringIO(text))
+    assert truth is None and batch.bins == 3
+    assert batch.keys.tolist() == [2, 7]
+    assert batch.counts.tolist() == [[0, 0, 1], [1, 8, 0]]
+    empty, _ = read_dense_csv(io.StringIO("key,bin,count\n"), bins=4)
+    assert (empty.num_keys, empty.bins) == (0, 4)
 
 
 def test_dense_csv_validation():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flowrank.model import BinSeries, WindowBatch, WindowConfig
-from flowrank.ranktest import statistic, statistic_uncensored
+from flowrank.model import WindowBatch, WindowConfig
+from flowrank.ranktest import CensoredSeries, statistic, statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
 from flowrank.toprank import (
     TopSet,
@@ -15,12 +15,9 @@ from flowrank.toprank import (
 
 
 def batch_from_matrix(values_by_key, bins):
-    series = {
-        k: BinSeries(key=k, values=v)
-        for k, v in values_by_key.items()
-        if np.asarray(v).any()
-    }
-    return WindowBatch(window_index=0, start_time=0.0, bins=bins, series=series)
+    keys = sorted(k for k, v in values_by_key.items() if np.asarray(v).any())
+    counts = np.array([values_by_key[k] for k in keys]).reshape(len(keys), bins)
+    return WindowBatch(window_index=0, start_time=0.0, keys=keys, counts=counts)
 
 
 def test_top_filter_tie_at_boundary_prefers_smaller_key():
@@ -30,7 +27,6 @@ def test_top_filter_tie_at_boundary_prefers_smaller_key():
     tops = top_filter(batch, WindowConfig(bins_per_window=2, top_m=2))
     assert tops[0].entries == ((1, 9), (2, 7))
     assert tops[0].censor_bound == 7
-    assert tops[0].members == {1, 2}
 
 
 def test_top_filter_partial_table_has_zero_bound():
@@ -105,10 +101,10 @@ def test_censor_fully_selected_key_is_uncensored():
     values = rng.integers(1, 30, 8)
     batch = batch_from_matrix({1: values, 2: np.ones(8, dtype=int)}, bins=8)
     tops = top_filter(batch, WindowConfig(bins_per_window=8, top_m=2))
-    series = censor(batch, tops, 1)
-    assert series.observed.all()
-    assert np.array_equal(series.x, values)
-    full = statistic(series)
+    x, observed = censor(batch, tops, [1])
+    assert observed.all()
+    assert np.array_equal(x, [values])
+    full = statistic(CensoredSeries(1, x[0], observed[0]))
     raw = statistic_uncensored(values)
     assert full.w_stat == raw.w_stat and full.change_bin == raw.change_bin
 
@@ -118,9 +114,9 @@ def test_censor_never_selected_key_is_all_bounds():
         {1: [9, 8, 7], 2: [5, 6, 4], 3: [1, 1, 1]}, bins=3
     )
     tops = top_filter(batch, WindowConfig(bins_per_window=3, top_m=2))
-    series = censor(batch, tops, 3)
-    assert not series.observed.any()
-    assert np.array_equal(series.x, [5, 6, 4])
+    x, observed = censor(batch, tops, [3])
+    assert not observed.any()
+    assert np.array_equal(x, [[5, 6, 4]])
 
 
 def test_censor_tie_loser_gets_bound_even_at_equal_value():
@@ -128,15 +124,15 @@ def test_censor_tie_loser_gets_bound_even_at_equal_value():
         {1: [9, 0], 2: [7, 0], 3: [7, 0], 4: [1, 0]}, bins=2
     )
     tops = top_filter(batch, WindowConfig(bins_per_window=2, top_m=2))
-    series = censor(batch, tops, 3)
-    assert series.x[0] == 7 and not series.observed[0]
+    x, observed = censor(batch, tops, [3])
+    assert x[0, 0] == 7 and not observed[0, 0]
 
 
 def test_censor_unknown_key_is_an_error():
     batch = batch_from_matrix({1: [1, 2]}, bins=2)
     tops = top_filter(batch, WindowConfig(bins_per_window=2, top_m=1))
     with pytest.raises(KeyError):
-        censor(batch, tops, 42)
+        censor(batch, tops, [1, 42])
 
 
 def test_censoring_soundness_on_random_batches():
@@ -147,11 +143,14 @@ def test_censoring_soundness_on_random_batches():
         )
         cfg = WindowConfig(bins_per_window=10, top_m=5)
         tops = top_filter(batch, cfg)
-        for key in batch.series:
-            series = censor(batch, tops, key)
-            raw = batch.series[key].values
-            assert np.all(series.x >= raw)
-            assert np.array_equal(series.x[series.observed], raw[series.observed])
+        x, observed = censor(batch, tops, batch.keys)
+        raw = batch.counts
+        assert np.all(x >= raw)
+        assert np.array_equal(x[observed], raw[observed])
+        for key in batch.keys[::7]:
+            one = censor(batch, tops, [key])
+            row = batch.keys.tolist().index(key)
+            assert np.array_equal(one[0][0], x[row]) and np.array_equal(one[1][0], observed[row])
 
 
 def test_candidate_set_grows_with_filter_depth():
@@ -175,8 +174,7 @@ def test_strict_bin_maximum_is_always_a_candidate():
         )
         tops = top_filter(batch, WindowConfig(bins_per_window=6, top_m=3))
         cands = set(candidates(tops, 1))
-        values = np.stack([batch.series[k].values for k in sorted(batch.series)])
-        keys = np.array(sorted(batch.series))
+        values, keys = batch.counts, batch.keys
         for t in range(6):
             col = values[:, t]
             if not col.any():
