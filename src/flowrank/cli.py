@@ -24,7 +24,6 @@ from .ingest import ParseError, read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
 from .toprank import run_window as toprank_window
-from .fisher import BUILTIN_DENSITIES, estimate_info_max, estimate_info_sum
 
 _METRICS = {m.value: m for m in MetricKind}
 _METHODS = {m.value: m for m in DetectionMethod}
@@ -61,6 +60,14 @@ def _config(factory, **params):
         raise UsageError(str(exc)) from None
 
 
+def _require_at_least(args: argparse.Namespace, **minimum: int) -> None:
+    """A count option below its minimum is a usage error, found before any input is read."""
+    for name, least in minimum.items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            raise UsageError(f"--{name} must be at least {least}")
+
+
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
     return _config(
         SynthConfig,
@@ -89,6 +96,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
     if args.format == "dense" and args.metric != "syn":
         raise UsageError("dense input is already binned; --metric must stay at its default")
+    _require_at_least(args, budget=1, rows=1, buckets=2)
     cfg = _config(
         WindowConfig,
         delta=args.delta,
@@ -151,6 +159,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
+    _require_at_least(args, runs=1, budget=1, top=1, rows=1, buckets=2, threads=1)
     methods = (
         [DetectionMethod.TOPRANK, DetectionMethod.HASHRANK, DetectionMethod.COMPREHENSIVE]
         if args.method == "all"
@@ -194,6 +203,10 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 
 def cmd_fisher(args: argparse.Namespace) -> int:
+    # imported here, not at the top: fisher needs scipy, the other subcommands
+    # run on numpy alone and should not pay scipy's import time on every launch
+    from .fisher import BUILTIN_DENSITIES, estimate_info_max, estimate_info_sum
+
     if args.density not in BUILTIN_DENSITIES:
         raise UsageError(
             f"unknown density {args.density!r}; built-ins: {sorted(BUILTIN_DENSITIES)}"
@@ -301,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except UsageError as exc:

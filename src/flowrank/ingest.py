@@ -288,18 +288,22 @@ def bin_window(
 ) -> WindowBatch:
     """Accumulate the records of one window into its key and count arrays.
 
-    Every record must start inside the window's time span. Keys whose
-    series is identically zero are omitted, so the batch's key count is
-    the window's effective dimension. Binning is order-independent.
+    Every record must belong to the window by the rule `split_windows`
+    uses, `(t - origin) // window_seconds == window_index`; deciding it
+    from the span [lo, lo + window_seconds) instead could disagree by one
+    rounding at a window edge. A record that rounding puts just outside
+    the span counts in the nearest edge bin. Keys whose series is
+    identically zero are omitted, so the batch's key count is the
+    window's effective dimension. Binning is order-independent.
     """
     lo = origin + window_index * cfg.window_seconds
-    hi = lo + cfg.window_seconds
     bins = cfg.bins_per_window
     ts = columns.ts_start
-    outside = ~((lo <= ts) & (ts < hi))
+    outside = (ts - origin) // cfg.window_seconds != window_index
     if outside.any():
         raise ValueError(
-            f"record at t={float(ts[outside.argmax()])} outside window [{lo}, {hi})"
+            f"record at t={float(ts[outside.argmax()])} outside window "
+            f"[{lo}, {lo + cfg.window_seconds})"
         )
     proto, key_field, value_field, distinct = METRIC_FIELDS[cfg.metric]
     value = getattr(columns, value_field)
@@ -309,7 +313,7 @@ def bin_window(
         rows &= columns.proto == PROTOCOLS.index(proto)
     keys, key_row = np.unique(getattr(columns, key_field)[rows], return_inverse=True)
     value = value[rows]
-    t = np.minimum((ts[rows] - lo) // cfg.delta, bins - 1).astype(np.int64)
+    t = np.clip((ts[rows] - lo) // cfg.delta, 0, bins - 1).astype(np.int64)
     cell = key_row * bins + t
     if distinct:
         # each distinct (key, bin, token) triple counts once

@@ -205,7 +205,9 @@ def statistic_batch(x: np.ndarray, observed: Optional[np.ndarray] = None) -> Bat
         rows = slice(lo, lo + _BLOCK_ROWS)
         block = _block(np.asarray(x[rows], dtype=np.float64), observed[rows])
         w_stat[rows], change_bin[rows], degenerate[rows] = block[2:]
-    p_value = np.array([pvalue(b) for b in w_stat.tolist()], dtype=np.float64)
+    # a window repeats few statistics, so each distinct one gets one `pvalue` call
+    distinct, where = np.unique(w_stat, return_inverse=True)
+    p_value = np.array([pvalue(b) for b in distinct.tolist()], dtype=np.float64)[where]
     return BatchOutcome(w_stat, p_value, change_bin, degenerate)
 
 

@@ -111,15 +111,17 @@ def bin_records(records, metric, delta, bins, window_index, origin):
     `metric` is one of "syn", "udp", "portscan", "netscan". Flood metrics
     add a counter; scan metrics count distinct tokens per bin with one
     Python set per key and bin. Keys whose series is all zero are left
-    out. Raises ValueError for a record outside the window.
+    out. A record belongs to the window `(t - origin) // (delta * bins)`,
+    as in `split_records`, and a record that rounding puts just outside
+    the window's span counts in its nearest edge bin. Raises ValueError
+    for a record of another window.
     """
     lo = origin + window_index * delta * bins
-    hi = lo + delta * bins
     added = {}
     tokens = {}
     for rec in records:
-        if not lo <= rec.ts_start < hi:
-            raise ValueError(f"record at t={rec.ts_start} outside window [{lo}, {hi})")
+        if (rec.ts_start - origin) // (delta * bins) != window_index:
+            raise ValueError(f"record at t={rec.ts_start} outside window {window_index}")
         proto = rec.proto.value
         if metric == "syn":
             if proto != "TCP":
@@ -135,7 +137,7 @@ def bin_records(records, metric, delta, bins, window_index, origin):
             key, count, token = rec.dst_ip, None, rec.dst_port
         else:
             key, count, token = rec.src_ip, None, rec.dst_ip
-        t = min(int((rec.ts_start - lo) // delta), bins - 1)
+        t = min(max(int((rec.ts_start - lo) // delta), 0), bins - 1)
         if count is not None:
             added.setdefault(key, [0] * bins)[t] += count
         else:

@@ -151,15 +151,32 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         ["detect", "--delta", "inf"],
         ["simulate", "--bins", "1"],
         ["roc", "--factor", "0"],
+        # count options are checked before any input is read
+        ["detect", "--budget", "0"],
+        ["detect", "--method", "hashrank", "--rows", "0"],
+        ["detect", "--method", "hashrank", "--buckets", "1"],
+        ["roc", "--runs", "0"],
+        ["roc", "--threads", "0"],
     ):
         io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
         assert main([*extra, *io_args, "--output", out]) == 1, extra
         assert "flowrank: error:" in capsys.readouterr().err
-    # a bin length float64 cannot resolve at the data's timestamps is a data error
-    for delta in (["--delta", "1e-300"], ["--delta", "1e-9", "--window", "2"]):
-        assert main(["detect", "--input", str(flow_csv), "--output", out, *delta]) == 2
+    # even when the input has no window to spend the budget on
+    empty = tmp_path / "empty.csv"
+    empty.write_text(FLOW_HEADER + "\n")
+    assert main(["detect", "--input", str(empty), "--output", out, "--budget", "0"]) == 1
+    assert "--budget must be at least 1" in capsys.readouterr().err
+    # a bin length float64 cannot resolve at the data's timestamps is a data error:
+    # 1e-300 s anywhere, a 2 ns window near t = 1.7e9 (one ulp there is 238 ns)
+    late = tmp_path / "late.csv"
+    late.write_text(FLOW_HEADER + "\n1700000000,1700000000.1,1,2,3,4,TCP,3,1,1,1,0"
+                    "\n1700000001,1700000001.1,1,2,3,4,TCP,3,1,1,1,0\n")
+    for source, delta in ((flow_csv, ["--delta", "1e-300"]), (late, ["--delta", "1e-9", "--window", "2"])):
+        assert main(["detect", "--input", str(source), "--output", out, *delta]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+    # near t = 60 it resolves; records on a window edge are binned, not rejected
+    assert main(["detect", "--input", str(flow_csv), "--output", out, "--delta", "1e-9", "--window", "2"]) == 0
 
 
 def test_simulate_then_detect_dense(tmp_path):

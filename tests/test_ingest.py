@@ -141,6 +141,27 @@ def test_bin_window_rejects_out_of_range_record():
         bin_window(FlowColumns.from_records([rec]), cfg3(), window_index=0)
 
 
+def test_window_edge_records_bin_where_split_windows_puts_them():
+    # (t - origin) // window_seconds puts the second record in the window whose
+    # span [lo, lo + window_seconds) it rounds onto the end of
+    cfg = WindowConfig(delta=0.5552908027291993, bins_per_window=84, top_m=2)
+    records = [parse_record(flow_line(t), i) for i, t in enumerate((1000005310.704, 1000006103.123), 2)]
+    batches = list(split_windows(FlowColumns.from_records(records), cfg))
+    assert [b.counts.sum() for b in batches] == [1, 1]
+    assert batches[1].start_time + cfg.window_seconds == 1000006103.123
+    assert series_of(batches[1])[20] == [0] * 83 + [1]
+    # here the rule's window starts one rounding after the record: bin 0, not bin -1
+    cfg = WindowConfig(delta=1.712469947952047, bins_per_window=4, top_m=2)
+    origin, t = -674.7898402104502, 4193903.8997118683
+    window = int((t - origin) // cfg.window_seconds)
+    assert origin + window * cfg.window_seconds > t
+    columns = FlowColumns.from_records([parse_record(flow_line(t), 2)])
+    assert series_of(bin_window(columns, cfg, window, origin)) == {20: [1, 0, 0, 0]}
+    # records of another window are still rejected
+    with pytest.raises(ValueError, match="outside window"):
+        bin_window(columns, cfg, window + 1, origin)
+
+
 def test_bin_window_is_order_independent():
     rng = np.random.default_rng(3)
     lines = [

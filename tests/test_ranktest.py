@@ -108,6 +108,8 @@ def test_statistic_matches_bruteforce_on_random_series():
         x = np.stack([s.x for s in batch])
         observed = np.stack([s.observed for s in batch])
         many = statistic_batch(x, observed)
+        # one `pvalue` call per distinct statistic gives every row's p-value bit for bit
+        assert many.p_value.tolist() == [pvalue(b) for b in many.w_stat.tolist()]
         for i, series in enumerate(batch):
             out = statistic(series)
             ref = brute_statistic(list(series.x), list(series.observed))
@@ -121,6 +123,7 @@ def test_statistic_matches_bruteforce_on_random_series():
                 assert out.w_stat == ref["w"]
                 assert out.change_bin == ref["change_bin"]
         uncensored = statistic_batch(x)
+        assert uncensored.p_value.tolist() == [pvalue(b) for b in uncensored.w_stat.tolist()]
         for i in range(rows):
             out = statistic_uncensored(x[i])
             assert out.w_stat == uncensored.w_stat[i]
