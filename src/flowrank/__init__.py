@@ -10,14 +10,12 @@ of the two reductions round out the package.
 
 from .model import (
     Alarm,
-    Contribution,
     DetectionMethod,
     FlowRecord,
     MetricKind,
     Protocol,
     WindowBatch,
     WindowConfig,
-    metric_key_value,
 )
 from .ranktest import (
     CensoredSeries,
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alarm",
     "CensoredSeries",
-    "Contribution",
     "DetectionMethod",
     "FlowRecord",
     "MetricKind",
@@ -42,7 +39,6 @@ __all__ = [
     "TestOutcome",
     "WindowBatch",
     "WindowConfig",
-    "metric_key_value",
     "pvalue",
     "score_pair",
     "statistic",

@@ -150,12 +150,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _parse_list(text: str, convert, name: str) -> list:
+    """A comma-separated option; an empty list or a value `convert` rejects is a usage error."""
+    try:
+        values = [convert(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"--{name} must be a comma-separated list of numbers, got {text!r}") from None
+    if not values:
+        raise UsageError(f"--{name} must list at least one value")
+    return values
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
@@ -166,10 +169,13 @@ def cmd_roc(args: argparse.Namespace) -> int:
         else [_METHODS[args.method]]
     )
     thresholds = (
-        _parse_float_list(args.thresholds)
+        _parse_list(args.thresholds, float, "thresholds")
         if args.thresholds
         else list(DEFAULT_THRESHOLDS)
     )
+    # the range test also rejects nan and inf
+    if not all(0.0 <= t <= 1.0 for t in thresholds) or thresholds != sorted(thresholds):
+        raise UsageError("--thresholds must be ascending p-values in [0, 1]")
     cfg = _synth_config(args)
     lines = []
     for method in methods:
@@ -212,9 +218,9 @@ def cmd_fisher(args: argparse.Namespace) -> int:
             f"unknown density {args.density!r}; built-ins: {sorted(BUILTIN_DENSITIES)}"
         )
     density = BUILTIN_DENSITIES[args.density]
-    dims = _parse_int_list(args.dims)
-    if not dims:
-        raise UsageError("--dims must list at least one dimension")
+    dims = _parse_list(args.dims, int, "dims")
+    if min(dims) < 2:
+        raise UsageError("--dims must be at least 2")
     lines = []
     for i, dim in enumerate(dims):
         est_max = estimate_info_max(

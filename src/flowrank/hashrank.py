@@ -49,19 +49,6 @@ class HashCoefficients:
             raise ValueError("need at least two buckets")
 
 
-def hash_eval(coeffs: HashCoefficients, x: int) -> int:
-    """Bucket of key x, in 1..k_buckets.
-
-    Horner evaluation of the cubic with every intermediate reduced
-    modulo the prime (Python integers keep the products exact). The
-    reference for `hash_buckets`.
-    """
-    acc = 0
-    for c in reversed(coeffs.a):
-        acc = (acc * x + c) % MERSENNE_PRIME
-    return 1 + acc % coeffs.k_buckets
-
-
 _P = np.uint64(MERSENNE_PRIME)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
@@ -98,9 +85,10 @@ def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hash_buckets(coeffs: Sequence[HashCoefficients], keys: np.ndarray) -> np.ndarray:
     """0-based buckets of int64 keys under every row, as intp[L, N].
 
-    Entry [l, n] equals `hash_eval(coeffs[l], keys[n]) - 1`: the keys are
-    reduced modulo p with Python's sign convention, then each row's
-    cubic runs Horner's rule with exact multiply-mod.
+    Entry [l, n] equals the Python-int Horner evaluation of row l's
+    cubic at keys[n] (`tests/oracles.py::hash_eval`), minus one: the
+    keys are reduced modulo p with Python's sign convention, then each
+    row's cubic runs Horner's rule with exact multiply-mod.
     """
     x = np.mod(np.asarray(keys, dtype=np.int64), MERSENNE_PRIME).astype(np.uint64)
     a = np.array([c.a for c in coeffs], dtype=np.uint64)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,18 +116,6 @@ class FlowRecord:
             raise RecordError("flags", "flag counters must be zero for non-TCP records")
 
 
-class Contribution(NamedTuple):
-    """One record's contribution to a (key, bin) cell.
-
-    Exactly one of `count` (added to the bin value) and `token` (an
-    element whose distinct occurrences are counted per bin) is set.
-    """
-
-    key: int
-    count: Optional[int]
-    token: Optional[int]
-
-
 # metric -> (protocol the record must have or None, key field, value field,
 # whether the value is a token counted once per bin rather than a count)
 METRIC_FIELDS = {
@@ -137,24 +124,6 @@ METRIC_FIELDS = {
     MetricKind.PORT_SCAN: (Protocol.TCP, "dst_ip", "dst_port", True),
     MetricKind.NET_SCAN: (None, "src_ip", "dst_ip", True),
 }
-
-
-def metric_key_value(rec: FlowRecord, metric: MetricKind) -> Optional[Contribution]:
-    """Map a record to its dimension key and bin contribution.
-
-    Returns None when the record is irrelevant to the metric, e.g. a
-    UDP record under the SYN-flood metric. Scan metrics follow the
-    attack definitions: port scans count TCP destination ports, network
-    scans count contacted addresses regardless of protocol.
-    """
-    if metric not in METRIC_FIELDS:
-        raise ValueError(f"unknown metric {metric!r}")
-    proto, key, value, distinct = METRIC_FIELDS[metric]
-    if proto is not None and rec.proto is not proto:
-        return None
-    if distinct:
-        return Contribution(getattr(rec, key), count=None, token=getattr(rec, value))
-    return Contribution(getattr(rec, key), count=getattr(rec, value), token=None)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,83 @@ def cube_statistic(x, observed):
     return {"u": u, "s_path": s_path, "w": w, "change_bin": idx + 1, "degenerate": denom == 0}
 
 
+def hash_eval(coeffs, x):
+    """Bucket of key x, in 1..coeffs.k_buckets, under one cubic hash row.
+
+    Horner evaluation of the cubic with coefficients `coeffs.a` (a[j]
+    multiplies x^j), every intermediate reduced modulo the Mersenne
+    prime 2^61 - 1; Python integers keep the products exact.
+    """
+    prime = (1 << 61) - 1
+    acc = 0
+    for c in reversed(coeffs.a):
+        acc = (acc * x + c) % prime
+    return 1 + acc % coeffs.k_buckets
+
+
+def top_tables(keys, counts, top_m):
+    """Per-bin top-M tables as tuples: [(entries, censor_bound)] per bin.
+
+    `entries` are (key, count) pairs of the keys with a nonzero count in
+    the bin, largest count first and the smaller key first among equal
+    counts, at most `top_m` of them. The bound is the smallest kept
+    count when the table is full, else 0.
+    """
+    keys = [int(k) for k in keys]
+    tables = []
+    for col in np.asarray(counts).T.tolist():
+        ranked = sorted((-c, k) for k, c in zip(keys, col) if c > 0)[:top_m]
+        entries = tuple((k, -c) for c, k in ranked)
+        tables.append((entries, entries[-1][1] if len(entries) == top_m else 0))
+    return tables
+
+
+def top_candidates(tables, keep):
+    """Keys holding one of the top `keep` ranks in some bin, by first
+    appearance, scanning bins in time order and ranks within each bin."""
+    out = []
+    seen = set()
+    for entries, _ in tables:
+        for key, _ in entries[:keep]:
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+    return out
+
+
+def top_candidates_budget(tables, n):
+    """First `n` distinct keys visiting every bin's rank-1 key, then every
+    bin's rank-2 key, and so on."""
+    out = []
+    seen = set()
+    for rank in range(max((len(entries) for entries, _ in tables), default=0)):
+        for entries, _ in tables:
+            if rank < len(entries):
+                key = entries[rank][0]
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+                    if len(out) == n:
+                        return out
+    return out
+
+
+def top_censor(tables, cand_keys):
+    """Censored series of `cand_keys`: x int64[C, P] and observed bool[C, P].
+
+    A bin where the key was kept carries its count, observed; any other
+    bin carries the table's censor bound, unobserved.
+    """
+    x = np.zeros((len(cand_keys), len(tables)), dtype=np.int64)
+    observed = np.zeros(x.shape, dtype=bool)
+    for c, key in enumerate(cand_keys):
+        for t, (entries, bound) in enumerate(tables):
+            kept = dict(entries)
+            observed[c, t] = key in kept
+            x[c, t] = kept.get(key, bound)
+    return x, observed
+
+
 def bridge_tail(b, tol=1e-16, max_terms=1_000_000):
     """Alternating series for the sup-|bridge| tail, run to convergence."""
     if b <= 0:

@@ -157,6 +157,18 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         ["detect", "--method", "hashrank", "--buckets", "1"],
         ["roc", "--runs", "0"],
         ["roc", "--threads", "0"],
+        # p-value grids: finite, in [0, 1], ascending; dimensions of at least 2
+        ["roc", "--thresholds", "nan"],
+        ["roc", "--thresholds", "2"],
+        ["roc", "--thresholds", "-1"],
+        ["roc", "--thresholds", "inf"],
+        ["roc", "--thresholds", "0.5,0.1"],
+        ["roc", "--thresholds", "abc"],
+        ["roc", "--thresholds", ","],
+        ["fisher", "--dims", "0"],
+        ["fisher", "--dims", "1"],
+        ["fisher", "--dims", "x"],
+        ["fisher", "--dims", "16,2.5"],
     ):
         io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
         assert main([*extra, *io_args, "--output", out]) == 1, extra
@@ -177,6 +189,19 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         assert "data error" in err and "Traceback" not in err
     # near t = 60 it resolves; records on a window edge are binned, not rejected
     assert main(["detect", "--input", str(flow_csv), "--output", out, "--delta", "1e-9", "--window", "2"]) == 0
+
+
+def test_detect_window_without_metric_records_writes_header_only(tmp_path):
+    # UDP traffic only: under the syn metric the window has no keys
+    flows = tmp_path / "udp.csv"
+    flows.write_text(FLOW_HEADER + "\n" + "".join(
+        f"{t},{t + 0.1},1,2,53,53,UDP,5,0,0,0,0\n" for t in range(0, 60, 7)
+    ))
+    for method in ("toprank", "hashrank", "full"):
+        out = tmp_path / f"{method}.csv"
+        argv = ["detect", "--input", str(flows), "--output", str(out), "--metric", "syn"]
+        assert main([*argv, "--method", method]) == 0
+        assert out.read_text() == "window,key,method,p_value,statistic,change_bin\n"
 
 
 def test_simulate_then_detect_dense(tmp_path):

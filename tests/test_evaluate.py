@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowrank.evaluate import DEFAULT_THRESHOLDS, comprehensive, roc
+from flowrank.evaluate import DEFAULT_THRESHOLDS, comprehensive, roc, score_comprehensive
 from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
 from flowrank.ranktest import statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
@@ -24,6 +24,14 @@ def test_comprehensive_tests_every_key():
     for alarm in alarms:
         out = statistic_uncensored(batch.counts[batch.keys.tolist().index(alarm.key)])
         assert alarm.p_value == out.p_value
+
+
+def test_comprehensive_of_empty_window():
+    # a window whose records all miss the metric (say, only UDP under syn)
+    batch = WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
+    scores = score_comprehensive(batch)
+    assert scores.keys.size == scores.p_alarm.size == scores.stat.size == 0
+    assert comprehensive(batch, 0.5) == []
 
 
 def test_comprehensive_single_key_matches_detect():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hash_eval
 
 from flowrank.hashrank import (
     MERSENNE_PRIME,
@@ -10,7 +11,6 @@ from flowrank.hashrank import (
     build_sketch,
     cell_outcomes,
     hash_buckets,
-    hash_eval,
     invert,
     run_window,
     sample_coefficients,
@@ -183,6 +183,8 @@ def test_sketch_of_empty_window():
     assert table.series.shape == (3, 7, 4) and not table.series.any()
     assert table.buckets.shape == (3, 0)
     assert invert(table, {(1, 1), (2, 1), (3, 1)}) == frozenset()
+    scores = score_window(batch, coeffs)
+    assert scores.keys.size == scores.p_alarm.size == scores.stat.size == 0
     assert run_window(batch, coeffs, 0.5) == []
 
 

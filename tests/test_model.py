@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from flowrank.ingest import FlowColumns, bin_window
 from flowrank.model import (
     FlowRecord,
     MetricKind,
     Protocol,
     WindowBatch,
     WindowConfig,
-    metric_key_value,
 )
 
 
@@ -30,41 +30,44 @@ def tcp_record(**overrides):
     return FlowRecord(**base)
 
 
+def udp_record(src_ip=1, dst_ip=2):
+    return FlowRecord(0.0, 0.1, src_ip, dst_ip, 53, 53, Protocol.UDP, 5)
+
+
+def binned(metric, *records):
+    """{key: series} of a window holding `records` under `metric`."""
+    cfg = WindowConfig(bins_per_window=2, metric=metric)
+    batch = bin_window(FlowColumns.from_records(records), cfg)
+    return dict(zip(batch.keys.tolist(), batch.counts.tolist()))
+
+
 def test_metric_syn_flood_reads_syn_counter():
-    contrib = metric_key_value(tcp_record(syn=3), MetricKind.SYN_FLOOD)
-    assert contrib is not None
-    assert contrib.key == 20
-    assert contrib.count == 3
-    assert contrib.token is None
+    assert binned(MetricKind.SYN_FLOOD, tcp_record(syn=3)) == {20: [3, 0]}
 
 
 def test_metric_syn_flood_ignores_udp():
-    rec = FlowRecord(0.0, 0.1, 1, 2, 53, 53, Protocol.UDP, 5)
-    assert metric_key_value(rec, MetricKind.SYN_FLOOD) is None
+    assert binned(MetricKind.SYN_FLOOD, udp_record()) == {}
 
 
 def test_metric_udp_flood_counts_packets():
-    rec = FlowRecord(0.0, 0.1, 1, 2, 53, 53, Protocol.UDP, 5)
-    contrib = metric_key_value(rec, MetricKind.UDP_FLOOD)
-    assert contrib == (2, 5, None)
-    assert metric_key_value(tcp_record(), MetricKind.UDP_FLOOD) is None
+    assert binned(MetricKind.UDP_FLOOD, udp_record()) == {2: [5, 0]}
+    assert binned(MetricKind.UDP_FLOOD, tcp_record()) == {}
 
 
 def test_metric_port_scan_emits_port_token():
-    contrib = metric_key_value(tcp_record(dst_port=80), MetricKind.PORT_SCAN)
-    assert contrib is not None
-    assert contrib.key == 20
-    assert contrib.count is None
-    assert contrib.token == 80
+    # distinct TCP destination ports per destination address
+    assert binned(MetricKind.PORT_SCAN, tcp_record(dst_port=80)) == {20: [1, 0]}
+    ports = [tcp_record(dst_port=80), tcp_record(dst_port=443), tcp_record(dst_port=80, src_port=9)]
+    assert binned(MetricKind.PORT_SCAN, *ports) == {20: [2, 0]}
+    assert binned(MetricKind.PORT_SCAN, udp_record()) == {}
 
 
 def test_metric_net_scan_keys_on_source():
-    contrib = metric_key_value(tcp_record(), MetricKind.NET_SCAN)
-    assert contrib is not None
-    assert contrib.key == 10
-    assert contrib.token == 20
-    udp = FlowRecord(0.0, 0.1, 7, 8, 53, 53, Protocol.UDP, 5)
-    assert metric_key_value(udp, MetricKind.NET_SCAN) == (7, None, 8)
+    # distinct destination addresses per source, whatever the protocol
+    assert binned(MetricKind.NET_SCAN, tcp_record()) == {10: [1, 0]}
+    assert binned(MetricKind.NET_SCAN, udp_record(src_ip=7, dst_ip=8)) == {7: [1, 0]}
+    mixed = [tcp_record(), tcp_record(dst_port=443), udp_record(src_ip=10, dst_ip=30)]
+    assert binned(MetricKind.NET_SCAN, *mixed) == {10: [2, 0]}
 
 
 def test_flow_record_rejects_reversed_times():
