@@ -9,7 +9,6 @@ of the two reductions round out the package.
 """
 
 from .model import (
-    Alarm,
     DetectionMethod,
     FlowRecord,
     MetricKind,
@@ -30,7 +29,6 @@ from .ranktest import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alarm",
     "CensoredSeries",
     "DetectionMethod",
     "FlowRecord",

@@ -14,16 +14,16 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import partial
 from typing import Optional, Sequence
 
-from . import __version__
-from .evaluate import DEFAULT_THRESHOLDS, comprehensive, roc
-from .hashrank import run_window as hashrank_window
+from . import __version__, hashrank, toprank
+from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive
 from .hashrank import sample_coefficients
 from .ingest import ParseError, read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig
+from .ranktest import alarm_order
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
-from .toprank import run_window as toprank_window
 
 _METRICS = {m.value: m for m in MetricKind}
 _METHODS = {m.value: m for m in DetectionMethod}
@@ -50,6 +50,17 @@ def _write_manifest(output: str, command: str, parameters: dict) -> None:
     with open(output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_table(args: argparse.Namespace, header: str, lines: list, what: str, params: dict) -> int:
+    """Write the CSV `header` and `lines` to `--output` plus its manifest; report the count."""
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+    _write_manifest(args.output, args.command, params)
+    print(f"wrote {len(lines)} {what} to {args.output}")
+    return 0
 
 
 def _config(factory, **params):
@@ -117,29 +128,26 @@ def cmd_detect(args: argparse.Namespace) -> int:
             columns = read_flow_csv(args.input, errors="skip", skipped=skipped)
             _report_skipped(skipped)
         batches = split_windows(columns, cfg)
-    coeffs = None
-    if method is DetectionMethod.HASHRANK:
+    # the per-key scorer `roc` sweeps; `alarm_order` thresholds it
+    if method is DetectionMethod.TOPRANK:
+        score = partial(toprank.score_window, cfg=cfg, budget=args.budget)
+    elif method is DetectionMethod.HASHRANK:
         coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
+        score = partial(hashrank.score_window, coeffs=coeffs)
+    else:
+        score = score_comprehensive
     rows = []
     for batch in batches:
-        if method is DetectionMethod.TOPRANK:
-            alarms = toprank_window(batch, cfg, budget=args.budget)
-        elif method is DetectionMethod.HASHRANK:
-            alarms = hashrank_window(batch, coeffs, cfg.level_alpha)
-        else:
-            alarms = comprehensive(batch, cfg.level_alpha)
-        for a in alarms:
+        scores = score(batch)
+        at = alarm_order(scores, cfg.level_alpha)
+        columns = (scores.keys, scores.p_report, scores.stat, scores.change_bin)
+        for key, p_value, stat, change_bin in zip(*(c[at].tolist() for c in columns)):
             rows.append(
-                f"{a.window_index},{a.key},{a.method.value},"
-                f"{a.p_value:.6g},{a.statistic:.6g},{a.change_bin}"
+                f"{batch.window_index},{key},{method.value},"
+                f"{p_value:.6g},{stat:.6g},{change_bin}"
             )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("window,key,method,p_value,statistic,change_bin\n")
-        for row in rows:
-            fh.write(row + "\n")
-    _write_manifest(args.output, "detect", _namespace_params(args))
-    print(f"wrote {len(rows)} alarms to {args.output}")
-    return 0
+    header = "window,key,method,p_value,statistic,change_bin"
+    return _write_table(args, header, rows, "alarms", _namespace_params(args))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -171,11 +179,12 @@ def cmd_roc(args: argparse.Namespace) -> int:
     thresholds = (
         _parse_list(args.thresholds, float, "thresholds")
         if args.thresholds
-        else list(DEFAULT_THRESHOLDS)
+        else DEFAULT_THRESHOLDS
     )
-    # the range test also rejects nan and inf
-    if not all(0.0 <= t <= 1.0 for t in thresholds) or thresholds != sorted(thresholds):
-        raise UsageError("--thresholds must be ascending p-values in [0, 1]")
+    try:
+        thresholds = check_thresholds(thresholds)
+    except ValueError:
+        raise UsageError("--thresholds must be ascending p-values in [0, 1]") from None
     cfg = _synth_config(args)
     lines = []
     for method in methods:
@@ -197,15 +206,9 @@ def cmd_roc(args: argparse.Namespace) -> int:
     # random-classifier reference line (detects like it false-alarms)
     for t in thresholds:
         lines.append(f"random,{t:.6g},{t:.6g},{t:.6g}")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("method,threshold,fa_rate,det_rate\n")
-        for line in lines:
-            fh.write(line + "\n")
     params = _namespace_params(args)
     params["thresholds_used"] = thresholds
-    _write_manifest(args.output, "roc", params)
-    print(f"wrote {len(lines)} roc points to {args.output}")
-    return 0
+    return _write_table(args, "method,threshold,fa_rate,det_rate", lines, "roc points", params)
 
 
 def cmd_fisher(args: argparse.Namespace) -> int:
@@ -234,18 +237,25 @@ def cmd_fisher(args: argparse.Namespace) -> int:
                 f"{est.method.value},{est.dim},{est.theta:.6g},"
                 f"{est.value:.8g},{est.target:.8g}"
             )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("method,D,theta,estimate,target\n")
-        for line in lines:
-            fh.write(line + "\n")
-    _write_manifest(args.output, "fisher", _namespace_params(args))
-    print(f"wrote {len(lines)} estimates to {args.output}")
-    return 0
+    header = "method,D,theta,estimate,target"
+    return _write_table(args, header, lines, "estimates", _namespace_params(args))
 
 
 def _namespace_params(args: argparse.Namespace) -> dict:
     skip = {"func", "command"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _add_synth_options(parser: argparse.ArgumentParser) -> None:
+    """The `SynthConfig` options that `simulate` and `roc` share."""
+    parser.add_argument("--dim", type=int, default=1000)
+    parser.add_argument("--bins", type=int, default=60)
+    parser.add_argument("--change-at", type=int, default=35, dest="change_at")
+    parser.add_argument("--factor", type=float, default=7.0)
+    parser.add_argument("--target-rank", type=int, default=500, dest="target_rank")
+    parser.add_argument("--pareto-shape", type=float, default=2.5, dest="pareto_shape")
+    parser.add_argument("--pareto-scale", type=float, default=0.72, dest="pareto_scale")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,33 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="write a synthetic dataset as dense CSV")
     s.add_argument("--output", default="dataset.csv")
-    s.add_argument("--dim", type=int, default=1000)
-    s.add_argument("--bins", type=int, default=60)
-    s.add_argument("--change-at", type=int, default=35, dest="change_at")
-    s.add_argument("--factor", type=float, default=7.0)
-    s.add_argument("--target-rank", type=int, default=500, dest="target_rank")
-    s.add_argument("--pareto-shape", type=float, default=2.5, dest="pareto_shape")
-    s.add_argument("--pareto-scale", type=float, default=0.72, dest="pareto_scale")
-    s.add_argument("--seed", type=int, default=0)
+    _add_synth_options(s)
     s.set_defaults(func=cmd_simulate)
 
     r = sub.add_parser("roc", help="Monte Carlo ROC evaluation on synthetic data")
     r.add_argument("--output", default="roc.csv")
     r.add_argument("--method", choices=sorted(_METHODS) + ["all"], default="all")
     r.add_argument("--runs", type=int, default=100)
-    r.add_argument("--dim", type=int, default=1000)
-    r.add_argument("--bins", type=int, default=60)
-    r.add_argument("--change-at", type=int, default=35, dest="change_at")
-    r.add_argument("--factor", type=float, default=7.0)
-    r.add_argument("--target-rank", type=int, default=500, dest="target_rank")
-    r.add_argument("--pareto-shape", type=float, default=2.5, dest="pareto_shape")
-    r.add_argument("--pareto-scale", type=float, default=0.72, dest="pareto_scale")
+    _add_synth_options(r)
     r.add_argument("--budget", type=int, default=136, help="series budget for record filtering")
     r.add_argument("--top", type=int, default=50, help="filtering depth M in budget mode")
     r.add_argument("--rows", type=int, default=8)
     r.add_argument("--buckets", type=int, default=17)
     r.add_argument("--thresholds", default=None, help="comma-separated p-value grid")
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--threads", type=int, default=1)
     r.set_defaults(func=cmd_roc)
 

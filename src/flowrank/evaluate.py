@@ -6,8 +6,8 @@ it with the per-key scorer that `detect` thresholds (`score_window` of
 threshold over the alarm p-values then yields false-alarm and detection
 rates, averaged over runs.
 Runs are seeded individually (data with base+run, hash coefficients
-with base+offset+run), so results are reproducible and independent of
-execution order or worker count.
+with base+HASH_SEED_OFFSET+run), so results are reproducible and
+independent of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ import numpy as np
 
 from . import hashrank, toprank
 from .hashrank import sample_coefficients
-from .model import Alarm, DetectionMethod, WindowBatch, WindowConfig
-from .ranktest import Scores, statistic_batch, to_alarms
+from .model import DetectionMethod, WindowBatch, WindowConfig
+from .ranktest import Scores, statistic_batch
 from .synth import SynthConfig, generate, to_window_batch
 
 # 30 log-spaced thresholds spanning 1e-12..1 plus the zero endpoint
 DEFAULT_THRESHOLDS: tuple[float, ...] = (0.0, *(float(t) for t in np.logspace(-12.0, 0.0, 30)))
+# run r draws its hash coefficients from seed + HASH_SEED_OFFSET + r
+HASH_SEED_OFFSET = 1_000_000
 
 
 class RocPoint(NamedTuple):
@@ -37,13 +39,16 @@ class RocPoint(NamedTuple):
 def score_comprehensive(batch: WindowBatch) -> Scores:
     """Per-key scores without any reduction: every key's raw series is tested."""
     w_stat, p_value, change_bin, _ = statistic_batch(batch.counts)
-    method = DetectionMethod.COMPREHENSIVE
-    return Scores(batch.window_index, method, batch.keys, p_value, p_value, w_stat, change_bin)
+    return Scores(batch.keys, p_value, p_value, w_stat, change_bin)
 
 
-def comprehensive(batch: WindowBatch, level_alpha: float) -> list[Alarm]:
-    """Baseline without any reduction: alarms of every key's raw series."""
-    return to_alarms(score_comprehensive(batch), level_alpha)
+def check_thresholds(thresholds: Sequence[float]) -> list[float]:
+    """`thresholds` as floats; anything but ascending p-values in [0, 1] is a ValueError."""
+    thr = [float(t) for t in thresholds]
+    # the range test also rejects nan and inf
+    if not all(0.0 <= t <= 1.0 for t in thr) or thr != sorted(thr):
+        raise ValueError("thresholds must be ascending p-values in [0, 1]")
+    return thr
 
 
 def roc(
@@ -56,7 +61,6 @@ def roc(
     top_m: int = 50,
     l_rows: int = 8,
     k_buckets: int = 17,
-    hash_seed_offset: int = 1_000_000,
     threads: int = 1,
 ) -> list[RocPoint]:
     """ROC curve of one method over fresh Monte Carlo datasets.
@@ -69,9 +73,7 @@ def roc(
         raise ValueError("runs must be at least 1")
     if cfg.dim < 1:
         raise ValueError("the protocol needs at least one key")
-    thr = [float(t) for t in thresholds]
-    if thr != sorted(thr):
-        raise ValueError("thresholds must be sorted ascending")
+    thr = check_thresholds(thresholds)
     thr_arr = np.asarray(thr)
     anomaly_key = cfg.change_rank
 
@@ -82,7 +84,7 @@ def roc(
             wcfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=1)
             scores = toprank.score_window(batch, wcfg, budget)
         elif method is DetectionMethod.HASHRANK:
-            coeffs = sample_coefficients(cfg.seed + hash_seed_offset + r, l_rows, k_buckets)
+            coeffs = sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets)
             scores = hashrank.score_window(batch, coeffs)
         elif method is DetectionMethod.COMPREHENSIVE:
             scores = score_comprehensive(batch)

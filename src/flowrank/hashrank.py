@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Alarm, DetectionMethod, WindowBatch
-from .ranktest import BatchOutcome, Scores, statistic_batch, to_alarms
+from .model import WindowBatch
+from .ranktest import BatchOutcome, Scores, statistic_batch
 
 MERSENNE_PRIME = (1 << 61) - 1
 
@@ -196,13 +196,4 @@ def score_window(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Scor
     p_value = out.p_value[cells]
     best = cells[p_value.argmin(axis=0), np.arange(table.keys.size)]
     report = (p_value.max(axis=0), out.p_value[best], out.w_stat[best], out.change_bin[best])
-    return Scores(batch.window_index, DetectionMethod.HASHRANK, table.keys, *report)
-
-
-def run_window(
-    batch: WindowBatch,
-    coeffs: Sequence[HashCoefficients],
-    level_alpha: float,
-) -> list[Alarm]:
-    """Alarms of one window (see `score_window`), sorted by p-value."""
-    return to_alarms(score_window(batch, coeffs), level_alpha)
+    return Scores(table.keys, *report)

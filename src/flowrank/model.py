@@ -1,7 +1,7 @@
 """Core domain types shared by the detection pipelines.
 
-Flow records, metric definitions, window configuration, windows and
-alarms. A window (`WindowBatch`) is ascending keys int64[N] plus their
+Flow records, metric definitions, window configuration and windows.
+A window (`WindowBatch`) is ascending keys int64[N] plus their
 counts int64[N, P], read directly by every detector. Everything here is
 an immutable value object whose constructor validates its invariants, so
 instances can be shared freely between threads and pipeline stages.
@@ -41,7 +41,7 @@ class MetricKind(enum.Enum):
 
 
 class DetectionMethod(enum.Enum):
-    """Which pipeline produced an alarm."""
+    """A detection pipeline."""
 
     TOPRANK = "toprank"
     HASHRANK = "hashrank"
@@ -214,14 +214,3 @@ def _as_int64(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be integers that fit 64 bits")
     return cast
 
-
-@dataclass(frozen=True)
-class Alarm:
-    """A window/key pair flagged by a detection pipeline."""
-
-    key: int
-    window_index: int
-    change_bin: int
-    p_value: float
-    statistic: float
-    method: DetectionMethod

@@ -15,7 +15,8 @@ bit-identical, and no distributional assumptions on the counts are
 needed.
 
 One kernel, `statistic_batch`, tests every row of an N x P matrix. Each
-method reduces a window to per-key `Scores`, which `to_alarms` thresholds.
+method reduces a window to per-key `Scores`, the only per-window result:
+`alarm_order` picks and orders its alarms, and the ROC harness sweeps it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-
-from .model import Alarm, DetectionMethod
 
 # Truncation tolerance for the alternating tail series.
 _TERM_TOL = 1e-12
@@ -104,8 +103,6 @@ class Scores(NamedTuple):
     alarm reports `p_report`, `stat` and `change_bin`.
     """
 
-    window_index: int
-    method: DetectionMethod
     keys: np.ndarray
     p_alarm: np.ndarray
     p_report: np.ndarray
@@ -230,20 +227,9 @@ def statistic_uncensored(values: Sequence[float] | np.ndarray) -> TestOutcome:
     return statistic(CensoredSeries(key=0, x=x, observed=np.ones(x.shape, dtype=bool)))
 
 
-def to_alarms(scores: Scores, level_alpha: float) -> list[Alarm]:
-    """Alarms of the keys with `p_alarm < level_alpha`, by reported p-value then key."""
+def alarm_order(scores: Scores, level_alpha: float) -> np.ndarray:
+    """Indices of the keys with `p_alarm < level_alpha`, by reported p-value then key."""
     if not 0.0 < level_alpha < 1.0:
         raise ValueError("level_alpha must be in (0, 1)")
-    alarms = [
-        Alarm(
-            key=int(scores.keys[i]),
-            window_index=scores.window_index,
-            change_bin=int(scores.change_bin[i]),
-            p_value=float(scores.p_report[i]),
-            statistic=float(scores.stat[i]),
-            method=scores.method,
-        )
-        for i in np.flatnonzero(scores.p_alarm < level_alpha)
-    ]
-    alarms.sort(key=lambda a: (a.p_value, a.key))
-    return alarms
+    hit = np.flatnonzero(scores.p_alarm < level_alpha)
+    return hit[np.lexsort((scores.keys[hit], scores.p_report[hit]))]

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Alarm, DetectionMethod, WindowBatch, WindowConfig
-from .ranktest import NEVER_TESTED, Scores, statistic_batch, to_alarms
+from .model import WindowBatch, WindowConfig
+from .ranktest import NEVER_TESTED, Scores, statistic_batch
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,4 @@ def score_window(
     n = batch.num_keys
     p_value, stat, change_bin = np.full(n, NEVER_TESTED), np.zeros(n), np.zeros(n, np.int64)
     p_value[rows], stat[rows], change_bin[rows] = out.p_value, out.w_stat, out.change_bin
-    method = DetectionMethod.TOPRANK
-    return Scores(batch.window_index, method, batch.keys, p_value, p_value, stat, change_bin)
-
-
-def run_window(
-    batch: WindowBatch,
-    cfg: WindowConfig,
-    budget: Optional[int] = None,
-) -> list[Alarm]:
-    """Alarms of one window (see `score_window`), sorted by p-value."""
-    return to_alarms(score_window(batch, cfg, budget), cfg.level_alpha)
+    return Scores(batch.keys, p_value, p_value, stat, change_bin)

@@ -153,6 +153,20 @@ def top_censor(tables, cand_keys):
     return x, observed
 
 
+def alarm_order(keys, p_alarm, p_report, level_alpha):
+    """Positions of the keys with p_alarm below the level, by reported p-value then key.
+
+    A plain Python sort of (p_value, key) tuples.
+    """
+    alarms = [
+        (float(p_report[i]), int(keys[i]), i)
+        for i in range(len(keys))
+        if p_alarm[i] < level_alpha
+    ]
+    alarms.sort()
+    return [i for _, _, i in alarms]
+
+
 def bridge_tail(b, tol=1e-16, max_terms=1_000_000):
     """Alternating series for the sup-|bridge| tail, run to convergence."""
     if b <= 0:

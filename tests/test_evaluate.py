@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from flowrank.evaluate import DEFAULT_THRESHOLDS, comprehensive, roc, score_comprehensive
+from flowrank import evaluate
+from flowrank.evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive
 from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
-from flowrank.ranktest import statistic_uncensored
+from flowrank.ranktest import alarm_order, statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
-from flowrank.toprank import run_window
+from flowrank.toprank import score_window
 
 
 def test_default_threshold_grid_shape():
@@ -18,12 +19,13 @@ def test_default_threshold_grid_shape():
 def test_comprehensive_tests_every_key():
     cfg = SynthConfig(dim=60, bins=40, change_rank=4, change_bin=20, factor=9.0, seed=5)
     batch = to_window_batch(generate(cfg))
-    alarms = comprehensive(batch, 1e-4)
-    assert 4 in [a.key for a in alarms]
-    assert all(a.method is DetectionMethod.COMPREHENSIVE for a in alarms)
-    for alarm in alarms:
-        out = statistic_uncensored(batch.counts[batch.keys.tolist().index(alarm.key)])
-        assert alarm.p_value == out.p_value
+    scores = score_comprehensive(batch)
+    assert np.array_equal(scores.keys, batch.keys)
+    at = alarm_order(scores, 1e-4)
+    assert 4 in scores.keys[at]
+    for i in range(batch.num_keys):
+        out = statistic_uncensored(batch.counts[i])
+        assert scores.p_report[i] == scores.p_alarm[i] == out.p_value
 
 
 def test_comprehensive_of_empty_window():
@@ -31,15 +33,15 @@ def test_comprehensive_of_empty_window():
     batch = WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
     scores = score_comprehensive(batch)
     assert scores.keys.size == scores.p_alarm.size == scores.stat.size == 0
-    assert comprehensive(batch, 0.5) == []
+    assert alarm_order(scores, 0.5).size == 0
 
 
 def test_comprehensive_single_key_matches_detect():
     values = np.concatenate([np.ones(10, dtype=int), np.full(10, 30, dtype=int)])
     batch = WindowBatch(0, 0.0, [1], [values])
-    alarms = comprehensive(batch, 1e-3)
-    assert len(alarms) == 1
-    assert alarms[0].p_value == statistic_uncensored(values).p_value
+    scores = score_comprehensive(batch)
+    assert alarm_order(scores, 1e-3).tolist() == [0]
+    assert scores.p_report[0] == statistic_uncensored(values).p_value
 
 
 def test_comprehensive_contains_uncensored_toprank_alarms():
@@ -48,14 +50,13 @@ def test_comprehensive_contains_uncensored_toprank_alarms():
     rng = np.random.default_rng(14)
     batch = WindowBatch(0, 0.0, range(1, 12), [rng.integers(1, 40, 30) for _ in range(11)])
     cfg = WindowConfig(bins_per_window=30, top_m=11, keep_mprime=11, level_alpha=0.3)
-    top_alarms = run_window(batch, cfg)
-    full_alarms = comprehensive(batch, 0.3)
-    full_by_key = {a.key: a for a in full_alarms}
-    assert top_alarms  # at 0.3 some key alarms with moderate probability
-    for alarm in top_alarms:
-        assert alarm.key in full_by_key
-        assert full_by_key[alarm.key].p_value == alarm.p_value
-        assert full_by_key[alarm.key].change_bin == alarm.change_bin
+    top, full = score_window(batch, cfg), score_comprehensive(batch)
+    top_alarms = alarm_order(top, 0.3)
+    assert top_alarms.size  # at 0.3 some key alarms with moderate probability
+    assert set(top_alarms.tolist()) <= set(alarm_order(full, 0.3).tolist())
+    # both scores align with the batch keys, so one index reads both
+    assert np.array_equal(full.p_report[top_alarms], top.p_report[top_alarms])
+    assert np.array_equal(full.change_bin[top_alarms], top.change_bin[top_alarms])
 
 
 def small_cfg(seed=0):
@@ -98,6 +99,27 @@ def test_roc_validates_arguments():
         roc(small_cfg(), DetectionMethod.TOPRANK, runs=0)
     with pytest.raises(ValueError):
         roc(small_cfg(), DetectionMethod.TOPRANK, runs=1, thresholds=[0.5, 0.1])
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [[float("nan")], [float("inf")], [-float("inf")], [-1.0], [2.0], [-1.0, 2.0], [0.5, 0.1], [0.1, float("nan")]],
+)
+def test_roc_rejects_thresholds_that_are_not_ascending_pvalues(thresholds, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a run started before the thresholds were checked")
+
+    monkeypatch.setattr(evaluate, "generate", no_run)
+    with pytest.raises(ValueError, match="ascending p-values"):
+        check_thresholds(thresholds)
+    for method in DetectionMethod:
+        with pytest.raises(ValueError, match="ascending p-values"):
+            roc(small_cfg(), method, runs=1, thresholds=thresholds)
+
+
+def test_check_thresholds_keeps_ascending_pvalues():
+    assert check_thresholds([0, 1e-12, 0.5, 0.5, 1]) == [0.0, 1e-12, 0.5, 0.5, 1.0]
+    assert check_thresholds(DEFAULT_THRESHOLDS) == list(DEFAULT_THRESHOLDS)
 
 
 def test_roc_threshold_one_matches_direct_statistics():

@@ -12,12 +12,11 @@ from flowrank.hashrank import (
     cell_outcomes,
     hash_buckets,
     invert,
-    run_window,
     sample_coefficients,
     score_window,
 )
-from flowrank.model import DetectionMethod, WindowBatch
-from flowrank.ranktest import statistic_uncensored
+from flowrank.model import WindowBatch
+from flowrank.ranktest import alarm_order, statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
 
 
@@ -25,6 +24,12 @@ def make_batch(values_by_key, bins):
     keys = sorted(k for k, v in values_by_key.items() if np.asarray(v).any())
     counts = np.array([values_by_key[k] for k in keys]).reshape(len(keys), bins)
     return WindowBatch(window_index=0, start_time=0.0, keys=keys, counts=counts)
+
+
+def alarmed_keys(batch, coeffs, level_alpha):
+    """Keys of the window's alarms, in `alarm_order`."""
+    scores = score_window(batch, coeffs)
+    return scores.keys[alarm_order(scores, level_alpha)].tolist()
 
 
 def identity_coeffs(k_buckets, rows=1):
@@ -185,7 +190,7 @@ def test_sketch_of_empty_window():
     assert invert(table, {(1, 1), (2, 1), (3, 1)}) == frozenset()
     scores = score_window(batch, coeffs)
     assert scores.keys.size == scores.p_alarm.size == scores.stat.size == 0
-    assert run_window(batch, coeffs, 0.5) == []
+    assert alarm_order(scores, 0.5).size == 0
 
 
 # --- cell_outcomes / invert ----------------------------------------------
@@ -203,7 +208,7 @@ def test_detect_cells_constant_sketch_is_quiet():
     coeffs = sample_coefficients(2, 3, 5)
     table = build_sketch(batch, coeffs)
     assert flagged_cells(table, 0.5) == set()
-    assert run_window(batch, coeffs, 0.5) == []
+    assert alarmed_keys(batch, coeffs, 0.5) == []
 
 
 def test_detect_cells_flags_injected_change():
@@ -216,7 +221,7 @@ def test_detect_cells_flags_injected_change():
     flagged = flagged_cells(table, 0.01)
     for row, c in enumerate(coeffs, start=1):
         assert (row, hash_eval(c, 99)) in flagged
-    assert 99 in [a.key for a in run_window(batch, coeffs, 0.01)]
+    assert 99 in alarmed_keys(batch, coeffs, 0.01)
 
 
 def test_detect_cells_threshold_near_one_flags_everything_alive():
@@ -313,7 +318,7 @@ def test_invert_completeness_for_fully_flagged_key():
     assert target in invert(table, flagged)
 
 
-# --- score_window / run_window ---------------------------------------------
+# --- score_window + alarm_order -------------------------------------------
 
 
 @pytest.mark.parametrize("level_alpha", [1e-3, 0.05, 0.5, 1 - 1e-12])
@@ -323,7 +328,7 @@ def test_alarm_set_matches_p_alarm_and_inversion(level_alpha):
     coeffs = sample_coefficients(41, 4, 7)
     scores = score_window(batch, coeffs)
     assert np.array_equal(scores.keys, batch.keys)
-    alarmed = {a.key for a in run_window(batch, coeffs, level_alpha)}
+    alarmed = set(alarmed_keys(batch, coeffs, level_alpha))
     assert alarmed == {int(k) for k in scores.keys[scores.p_alarm < level_alpha]}
     table = build_sketch(batch, coeffs)
     assert alarmed == invert(table, flagged_cells(table, level_alpha))
@@ -333,17 +338,17 @@ def test_run_window_alarms_injected_anomaly():
     cfg = SynthConfig(dim=200, bins=60, change_rank=5, change_bin=35, factor=10.0, seed=6)
     batch = to_window_batch(generate(cfg))
     coeffs = sample_coefficients(77, 8, 17)
-    alarms = run_window(batch, coeffs, 1e-3)
-    assert 5 in [a.key for a in alarms]
-    assert all(a.method is DetectionMethod.HASHRANK for a in alarms)
-    assert alarms == sorted(alarms, key=lambda a: (a.p_value, a.key))
+    scores = score_window(batch, coeffs)
+    at = alarm_order(scores, 1e-3)
+    assert 5 in scores.keys[at]
+    alarms = list(zip(scores.p_report[at].tolist(), scores.keys[at].tolist()))
+    assert alarms == sorted(alarms)
 
 
 def test_run_window_quiet_at_tiny_alpha():
     rng = np.random.default_rng(20)
     batch = make_batch({k: rng.poisson(1.0, 30) for k in range(1, 60)}, bins=30)
-    alarms = run_window(batch, sample_coefficients(1, 8, 17), 1e-6)
-    assert alarms == []
+    assert alarmed_keys(batch, sample_coefficients(1, 8, 17), 1e-6) == []
 
 
 def test_run_window_singleton_cells_match_raw_series():
@@ -353,24 +358,27 @@ def test_run_window_singleton_cells_match_raw_series():
     rows = {k: np.concatenate([rng.poisson(3.0, 15), rng.poisson(3.0 * (8 if k == 2 else 1), 15)]) for k in (1, 2, 3)}
     batch = make_batch(rows, bins=30)
     coeffs = identity_coeffs(5, rows=2)
-    alarms = run_window(batch, coeffs, 1e-3)
-    assert [a.key for a in alarms] == [2]
+    scores = score_window(batch, coeffs)
+    at = alarm_order(scores, 1e-3)
+    assert scores.keys[at].tolist() == [2]
     raw = statistic_uncensored(rows[2])
-    assert alarms[0].p_value == raw.p_value
-    assert alarms[0].change_bin == raw.change_bin
+    assert scores.p_report[at[0]] == raw.p_value
+    assert scores.change_bin[at[0]] == raw.change_bin
 
 
 def test_run_window_reports_most_confident_cell():
     cfg = SynthConfig(dim=150, bins=60, change_rank=3, change_bin=30, factor=9.0, seed=8)
     batch = to_window_batch(generate(cfg))
     coeffs = sample_coefficients(55, 4, 11)
-    alarms = run_window(batch, coeffs, 1e-2)
+    scores = score_window(batch, coeffs)
+    at = alarm_order(scores, 1e-2)
+    assert at.size
     outcomes = cell_outcomes(build_sketch(batch, coeffs))
-    for alarm in alarms:
+    for i in at:
         own = [
-            row * 11 + hash_eval(c, alarm.key) - 1 for row, c in enumerate(coeffs)
+            row * 11 + hash_eval(c, int(scores.keys[i])) - 1 for row, c in enumerate(coeffs)
         ]
-        best = min(own, key=lambda i: outcomes.p_value[i])  # earliest row on ties
-        assert alarm.p_value == outcomes.p_value[best]
-        assert alarm.statistic == outcomes.w_stat[best]
-        assert alarm.change_bin == outcomes.change_bin[best]
+        best = min(own, key=lambda j: outcomes.p_value[j])  # earliest row on ties
+        assert scores.p_report[i] == outcomes.p_value[best]
+        assert scores.stat[i] == outcomes.w_stat[best]
+        assert scores.change_bin[i] == outcomes.change_bin[best]

@@ -81,3 +81,9 @@ def test_fisher_module_still_imports_scipy(tmp_path):
     # the check above can see scipy: importing the information study loads it
     code = CHILD.replace("from flowrank.cli import main", "import flowrank.fisher; main = lambda argv: 0")
     assert "scipy.integrate" in run_fresh(code, [], tmp_path)["scipy"]
+
+
+def test_every_public_name_imports():
+    namespace = {}
+    exec("from flowrank import *", namespace)
+    assert set(flowrank.__all__) <= namespace.keys()

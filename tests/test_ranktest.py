@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowrank import ranktest
-from flowrank.model import DetectionMethod
 from flowrank.ranktest import (
+    NEVER_TESTED,
     CensoredSeries,
     Scores,
+    alarm_order,
     pvalue,
     score_pair,
     statistic,
     statistic_batch,
     statistic_uncensored,
-    to_alarms,
 )
 
+from oracles import alarm_order as tuple_alarm_order
 from oracles import bridge_tail, brute_statistic, cube_statistic
 
 
@@ -281,25 +282,26 @@ def test_pvalue_monotone_and_continuous():
     assert max(deltas) < 0.02  # no jumps on a 5e-3 grid
 
 
-# --- to_alarms ----------------------------------------------------------
+# --- alarm_order --------------------------------------------------------
 
 
 def alarm_of(series, level_alpha):
-    """Alarm of one censored series through the batch kernel, or None."""
+    """(key, p_value, change_bin) of one censored series' alarm through the batch kernel, or None."""
     w_stat, p_value, change_bin, _ = statistic_batch(series.x[None], series.observed[None])
-    key = np.array([series.key])
-    scores = Scores(0, DetectionMethod.TOPRANK, key, p_value, p_value, w_stat, change_bin)
-    alarms = to_alarms(scores, level_alpha)
-    return alarms[0] if alarms else None
+    scores = Scores(np.array([series.key]), p_value, p_value, w_stat, change_bin)
+    at = alarm_order(scores, level_alpha)
+    if not at.size:
+        return None
+    return int(scores.keys[at[0]]), float(scores.p_report[at[0]]), int(scores.change_bin[at[0]])
 
 
 def test_detect_alarms_step_series():
     alarm = alarm_of(CensoredSeries(9, [1, 1, 5, 5], [1, 1, 1, 1]), 0.5)
     assert alarm is not None
-    assert alarm.key == 9
-    assert alarm.change_bin == 2
-    assert alarm.method is DetectionMethod.TOPRANK
-    assert alarm.p_value < 0.5
+    key, p_value, change_bin = alarm
+    assert key == 9
+    assert change_bin == 2
+    assert p_value < 0.5
 
 
 def test_detect_degenerate_never_alarms():
@@ -321,16 +323,36 @@ def test_detect_level_validation():
         alarm_of(series, 1.0)
 
 
-def test_to_alarms_sorts_by_reported_pvalue_then_key():
+def test_alarm_order_sorts_by_reported_pvalue_then_key():
     scores = Scores(
-        window_index=7,
-        method=DetectionMethod.HASHRANK,
         keys=np.array([3, 5, 7, 9]),
         p_alarm=np.array([0.01, 0.2, 0.01, 2.0]),
         p_report=np.array([0.004, 0.001, 0.004, 0.0]),
         stat=np.array([1.5, 1.9, 1.5, 0.0]),
         change_bin=np.array([4, 2, 6, 0]),
     )
-    alarms = to_alarms(scores, 0.05)
-    assert [(a.key, a.p_value, a.change_bin) for a in alarms] == [(3, 0.004, 4), (7, 0.004, 6)]
-    assert all(a.window_index == 7 and a.method is DetectionMethod.HASHRANK for a in alarms)
+    at = alarm_order(scores, 0.05)
+    assert at.tolist() == [0, 2]
+    assert scores.change_bin[at].tolist() == [4, 6]
+
+
+def test_alarm_order_matches_the_tuple_sort():
+    rng = np.random.default_rng(8)
+    # few distinct values, so reported and alarm p-values tie across keys
+    grid = np.array([0.0, 1e-9, 1e-3, 0.01, 0.2, 0.5, 1.0])
+    for i in range(400):
+        n = i % 50  # includes the empty window
+        keys = np.sort(rng.choice(np.arange(-500, 500), n, replace=False))
+        p_report = rng.choice(grid, n)
+        p_alarm = np.maximum(p_report, rng.choice(grid, n))
+        if i % 4 == 0:
+            p_alarm[rng.random(n) < 0.3] = NEVER_TESTED
+        if i % 4 == 1:
+            # every key tested and below 1: at 1 - 1e-12 the window alarms on all of them
+            p_alarm = np.minimum(p_alarm, 0.5)
+        scores = Scores(keys, p_alarm, p_report, np.zeros(n), np.ones(n, np.int64))
+        for level_alpha in (1e-6, 0.01, 0.3, 1 - 1e-12):
+            want = tuple_alarm_order(keys, p_alarm, p_report, level_alpha)
+            assert alarm_order(scores, level_alpha).tolist() == want
+        if i % 4 == 1:
+            assert sorted(alarm_order(scores, 1 - 1e-12).tolist()) == list(range(n))

@@ -8,6 +8,7 @@ from flowrank.model import WindowBatch, WindowConfig
 from flowrank.ranktest import (
     NEVER_TESTED,
     CensoredSeries,
+    alarm_order,
     statistic,
     statistic_batch,
     statistic_uncensored,
@@ -18,7 +19,6 @@ from flowrank.toprank import (
     candidates,
     candidates_budget,
     censor,
-    run_window,
     score_window,
     top_filter,
 )
@@ -200,18 +200,19 @@ def test_run_window_detects_injected_jump():
     cfg = SynthConfig(dim=100, bins=60, change_rank=10, change_bin=35, factor=8.0, seed=4)
     batch = to_window_batch(generate(cfg))
     wcfg = WindowConfig(bins_per_window=60, top_m=10, keep_mprime=1, level_alpha=1e-4)
-    alarms = run_window(batch, wcfg)
-    keys = [a.key for a in alarms]
+    scores = score_window(batch, wcfg)
+    at = alarm_order(scores, wcfg.level_alpha)
+    keys = scores.keys[at].tolist()
     assert 10 in keys
-    alarm = next(a for a in alarms if a.key == 10)
-    assert abs(alarm.change_bin - 35) <= 3
-    assert alarms == sorted(alarms, key=lambda a: (a.p_value, a.key))
+    assert abs(scores.change_bin[at[keys.index(10)]] - 35) <= 3
+    alarms = list(zip(scores.p_report[at].tolist(), keys))
+    assert alarms == sorted(alarms)
 
 
 def test_run_window_constant_traffic_never_alarms():
     batch = batch_from_matrix({k: [5] * 12 for k in range(1, 6)}, bins=12)
     wcfg = WindowConfig(bins_per_window=12, top_m=3, level_alpha=0.5)
-    assert run_window(batch, wcfg) == []
+    assert alarm_order(score_window(batch, wcfg), wcfg.level_alpha).size == 0
 
 
 def test_run_window_budget_counts_tested_series():
@@ -220,8 +221,9 @@ def test_run_window_budget_counts_tested_series():
     wcfg = WindowConfig(bins_per_window=60, top_m=50, keep_mprime=1, level_alpha=1e-3)
     table = top_filter(batch, wcfg)
     assert len(candidates_budget(table, 136)) == 136
-    alarms = run_window(batch, wcfg, budget=136)
-    assert len(alarms) <= 136
+    scores = score_window(batch, wcfg, budget=136)
+    assert (scores.p_alarm != NEVER_TESTED).sum() == 136
+    assert alarm_order(scores, wcfg.level_alpha).size <= 136
 
 
 def random_window(rng, n):
@@ -272,7 +274,7 @@ def test_score_window_of_empty_window():
     for budget in (None, 136):
         scores = score_window(batch, cfg, budget)
         assert scores.keys.size == scores.p_alarm.size == scores.stat.size == 0
-        assert run_window(batch, cfg, budget) == []
+        assert alarm_order(scores, cfg.level_alpha).size == 0
 
 
 def test_score_window_memory_is_far_below_the_count_matrix():
