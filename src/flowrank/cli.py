@@ -14,11 +14,10 @@ import argparse
 import json
 import sys
 from collections import Counter
-from functools import partial
 from typing import Optional, Sequence
 
-from . import __version__, hashrank, toprank
-from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive
+from . import __version__
+from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, scorer
 from .hashrank import sample_coefficients
 from .ingest import ParseError, read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig
@@ -129,13 +128,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
             _report_skipped(skipped)
         batches = split_windows(columns, cfg)
     # the per-key scorer `roc` sweeps; `alarm_order` thresholds it
-    if method is DetectionMethod.TOPRANK:
-        score = partial(toprank.score_window, cfg=cfg, budget=args.budget)
-    elif method is DetectionMethod.HASHRANK:
-        coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
-        score = partial(hashrank.score_window, coeffs=coeffs)
-    else:
-        score = score_comprehensive
+    coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
+    score = scorer(method, cfg, args.budget, coeffs)
     rows = []
     for batch in batches:
         scores = score(batch)

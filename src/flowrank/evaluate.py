@@ -1,25 +1,29 @@
 """Monte Carlo ROC evaluation of the detection pipelines on synthetic data.
 
-Each run generates a fresh dataset with one injected change and scores
-it with the per-key scorer that `detect` thresholds (`score_window` of
-`toprank` or `hashrank`, or `score_comprehensive`). Sweeping a decision
-threshold over the alarm p-values then yields false-alarm and detection
-rates, averaged over runs.
+`scorer` is the one place that maps a `DetectionMethod` to its per-key
+scorer (`score_window` of `toprank` or `hashrank`, or
+`score_comprehensive`); `detect` thresholds that scorer's alarm p-values
+and `roc` sweeps them. Each ROC run generates a fresh dataset with one
+injected change and scores it; sweeping a decision threshold over the
+alarm p-values then yields false-alarm and detection rates, averaged
+over runs.
 Runs are seeded individually (data with base+run, hash coefficients
-with base+HASH_SEED_OFFSET+run), so results are reproducible and
-independent of execution order or worker count.
+with base+HASH_SEED_OFFSET+run) and run on a pool of `threads` threads
+with results taken in run order, so results are reproducible and
+independent of the thread count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import hashrank, toprank
-from .hashrank import sample_coefficients
+from .hashrank import HashCoefficients, sample_coefficients
 from .model import DetectionMethod, WindowBatch, WindowConfig
 from .ranktest import Scores, statistic_batch
 from .synth import SynthConfig, generate, to_window_batch
@@ -42,12 +46,31 @@ def score_comprehensive(batch: WindowBatch) -> Scores:
     return Scores(batch.keys, p_value, p_value, w_stat, change_bin)
 
 
+def scorer(
+    method: DetectionMethod,
+    cfg: WindowConfig,
+    budget: Optional[int],
+    coeffs: HashCoefficients,
+) -> Callable[[WindowBatch], Scores]:
+    """The per-key scorer of `method`: TopRank filters with `cfg` (and
+    `budget`, if set), HashRank sketches with `coeffs`, Comprehensive
+    tests every key."""
+    if method is DetectionMethod.TOPRANK:
+        return partial(toprank.score_window, cfg=cfg, budget=budget)
+    if method is DetectionMethod.HASHRANK:
+        return partial(hashrank.score_window, coeffs=coeffs)
+    if method is DetectionMethod.COMPREHENSIVE:
+        return score_comprehensive
+    raise ValueError(f"unknown method {method!r}")
+
+
 def check_thresholds(thresholds: Sequence[float]) -> list[float]:
-    """`thresholds` as floats; anything but ascending p-values in [0, 1] is a ValueError."""
+    """`thresholds` as floats; anything but a nonempty list of ascending
+    p-values in [0, 1] is a ValueError."""
     thr = [float(t) for t in thresholds]
     # the range test also rejects nan and inf
-    if not all(0.0 <= t <= 1.0 for t in thr) or thr != sorted(thr):
-        raise ValueError("thresholds must be ascending p-values in [0, 1]")
+    if not thr or not all(0.0 <= t <= 1.0 for t in thr) or thr != sorted(thr):
+        raise ValueError("thresholds must be a nonempty list of ascending p-values in [0, 1]")
     return thr
 
 
@@ -67,29 +90,27 @@ def roc(
 
     The record-filtering method runs budget-matched: it tests exactly
     `budget` candidate series per window (the sketch method's cell
-    count), using `top_m` as the filtering depth.
+    count), using `top_m` as the filtering depth. Every argument is
+    checked before the first run.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if cfg.dim < 1:
         raise ValueError("the protocol needs at least one key")
     thr = check_thresholds(thresholds)
     thr_arr = np.asarray(thr)
+    # metric, window length and alpha are irrelevant: only the scores are swept
+    wcfg = WindowConfig(top_m=top_m)
+    coeffs = [
+        sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets) for r in range(runs)
+    ]
     anomaly_key = cfg.change_rank
 
     def one_run(r: int) -> tuple[np.ndarray, np.ndarray]:
         batch = to_window_batch(generate(replace(cfg, seed=cfg.seed + r)))
-        if method is DetectionMethod.TOPRANK:
-            # metric and alpha are irrelevant: only the scores are swept
-            wcfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=1)
-            scores = toprank.score_window(batch, wcfg, budget)
-        elif method is DetectionMethod.HASHRANK:
-            coeffs = sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets)
-            scores = hashrank.score_window(batch, coeffs)
-        elif method is DetectionMethod.COMPREHENSIVE:
-            scores = score_comprehensive(batch)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        scores = scorer(method, wcfg, budget, coeffs[r])(batch)
         at = int(np.searchsorted(scores.keys, anomaly_key))
         det = (scores.p_alarm[at] < thr_arr).astype(np.float64)
         others = np.delete(scores.p_alarm, at)
@@ -97,11 +118,8 @@ def roc(
         fa = (others[:, None] < thr_arr[None, :]).sum(axis=0) / max(others.size, 1)
         return fa, det
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_run, range(runs)))
-    else:
-        results = [one_run(r) for r in range(runs)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one_run, range(runs)))
     fa_mean = np.mean([fa for fa, _ in results], axis=0)
     det_mean = np.mean([det for _, det in results], axis=0)
     return [

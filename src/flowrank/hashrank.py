@@ -6,7 +6,8 @@ Each of the L rows hashes every key into one of K buckets with an
 independently drawn 4-wise-independent hash (a random cubic polynomial
 over the Mersenne prime 2^61 - 1), and the bucket's series is the sum
 of the series of the keys landing there. A key is a suspect when the
-cell containing it is flagged in every row.
+cell containing it is flagged in every row. The L hashes are one
+`HashCoefficients`: an L x 4 coefficient array plus the shared K.
 
 The sketch (`SketchTable`) keeps the window's ascending keys and their
 0-based buckets (L x N): key n sits in cell `l * K + buckets[l, n]` of
@@ -18,7 +19,7 @@ from the bucket array, and `invert` is the same decision in set algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,25 +29,37 @@ from .ranktest import BatchOutcome, Scores, statistic_batch
 MERSENNE_PRIME = (1 << 61) - 1
 
 
-@dataclass(frozen=True)
+# eq=False: an array field has no truth value; compare `a` with np.array_equal
+@dataclass(frozen=True, eq=False)
 class HashCoefficients:
-    """Coefficients of one random cubic polynomial hash onto 1..k_buckets.
+    """The L random cubic polynomial hashes of a sketch, each onto 1..k_buckets.
 
-    `a[j]` multiplies x^j; evaluation is exact modulo the Mersenne prime.
-    An all-zero tuple is legal (the uniform draw does not exclude it),
-    merely useless.
+    `a` is a read-only uint64[L, 4]: `a[l, j]` multiplies x^j in row
+    l+1's cubic, whose evaluation is exact modulo the Mersenne prime.
+    Every row shares the one `k_buckets`. An all-zero row is legal (the
+    uniform draw does not exclude it), merely useless.
     """
 
-    a: tuple[int, int, int, int]
+    a: np.ndarray
     k_buckets: int
 
     def __post_init__(self) -> None:
-        if len(self.a) != 4:
-            raise ValueError("exactly four coefficients required")
-        if any(not 0 <= c < MERSENNE_PRIME for c in self.a):
+        a = np.asarray(self.a)
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError("coefficients must be integers")
+        if a.ndim != 2 or a.shape[1] != 4 or not a.shape[0]:
+            raise ValueError("coefficients must be L x 4, with L >= 1")
+        if a.min() < 0 or a.max() >= MERSENNE_PRIME:
             raise ValueError("coefficients must lie in [0, p-1]")
         if self.k_buckets < 2:
             raise ValueError("need at least two buckets")
+        a = a.astype(np.uint64)
+        a.setflags(write=False)
+        object.__setattr__(self, "a", a)
+
+    @property
+    def l_rows(self) -> int:
+        return self.a.shape[0]
 
 
 _P = np.uint64(MERSENNE_PRIME)
@@ -82,7 +95,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def hash_buckets(coeffs: Sequence[HashCoefficients], keys: np.ndarray) -> np.ndarray:
+def hash_buckets(coeffs: HashCoefficients, keys: np.ndarray) -> np.ndarray:
     """0-based buckets of int64 keys under every row, as intp[L, N].
 
     Entry [l, n] equals the Python-int Horner evaluation of row l's
@@ -91,24 +104,20 @@ def hash_buckets(coeffs: Sequence[HashCoefficients], keys: np.ndarray) -> np.nda
     row's cubic runs Horner's rule with exact multiply-mod.
     """
     x = np.mod(np.asarray(keys, dtype=np.int64), MERSENNE_PRIME).astype(np.uint64)
-    a = np.array([c.a for c in coeffs], dtype=np.uint64)
-    acc = np.broadcast_to(a[:, 3:], (len(coeffs), x.size))
+    a = coeffs.a
+    acc = np.broadcast_to(a[:, 3:], (coeffs.l_rows, x.size))
     for j in (2, 1, 0):
         acc = _reduce(_mulmod(acc, x) + a[:, j:j + 1])
-    k_buckets = np.array([[c.k_buckets] for c in coeffs], dtype=np.uint64)
-    return (acc % k_buckets).astype(np.intp)
+    return (acc % np.uint64(coeffs.k_buckets)).astype(np.intp)
 
 
-def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> list[HashCoefficients]:
-    """Draw L independent coefficient tuples, uniform over [0, p-1]^4."""
+def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> HashCoefficients:
+    """Draw L independent coefficient rows, uniform over [0, p-1]^4."""
     if l_rows < 1:
         raise ValueError("need at least one row")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, MERSENNE_PRIME, size=(l_rows, 4), dtype=np.int64)
-    return [
-        HashCoefficients(a=tuple(int(c) for c in row), k_buckets=k_buckets)
-        for row in draws
-    ]
+    return HashCoefficients(draws, k_buckets)
 
 
 @dataclass(frozen=True)
@@ -144,16 +153,11 @@ class SketchTable:
         return self.series.shape[1]
 
 
-def build_sketch(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> SketchTable:
+def build_sketch(batch: WindowBatch, coeffs: HashCoefficients) -> SketchTable:
     """Hash every key of the window into the L x K table; each row sums
     its buckets' blocks of key-sorted count rows with one `np.add.reduceat`."""
-    if not coeffs:
-        raise ValueError("need at least one hash row")
-    k_buckets = coeffs[0].k_buckets
-    if any(c.k_buckets != k_buckets for c in coeffs):
-        raise ValueError("all rows must share the same bucket count")
     buckets = hash_buckets(coeffs, batch.keys)
-    series = np.zeros((len(coeffs), k_buckets, batch.bins), dtype=np.int64)
+    series = np.zeros((coeffs.l_rows, coeffs.k_buckets, batch.bins), dtype=np.int64)
     for row, bucket in enumerate(buckets):
         order = np.argsort(bucket, kind="stable")
         ordered = bucket[order]
@@ -182,7 +186,7 @@ def invert(table: SketchTable, cells: Iterable[tuple[int, int]]) -> frozenset[in
     return frozenset(table.keys[hit].tolist())
 
 
-def score_window(batch: WindowBatch, coeffs: Sequence[HashCoefficients]) -> Scores:
+def score_window(batch: WindowBatch, coeffs: HashCoefficients) -> Scores:
     """Sketch and test one window; per-key scores.
 
     A key's cells are flagged in every row iff the largest of their

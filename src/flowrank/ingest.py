@@ -40,49 +40,6 @@ from .model import (
     WindowConfig,
 )
 
-FLOW_COLUMNS = (
-    "ts_start",
-    "ts_end",
-    "src_ip",
-    "dst_ip",
-    "src_port",
-    "dst_port",
-    "proto",
-    "packets",
-    "syn",
-    "synack",
-    "fin",
-    "rst",
-)
-
-FLOW_HEADER = ",".join(FLOW_COLUMNS)
-
-PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
-CHUNK_LINES = 1 << 16
-TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
-
-# Canonical lines are those np.loadtxt reads exactly as float()/int() do:
-# ASCII digits only (no signs, spaces or underscores on integers), and at
-# most 10 integer digits, so int64 holds every value the range checks see.
-_FLOAT = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,3})?"
-_UINT = r"[0-9]{1,10}"
-_CANONICAL = re.compile(
-    ",".join([_FLOAT] * 2 + [_UINT] * 4 + ["(?:TCP|UDP|OTHER)"] + [_UINT] * 5) + "\n?"
-)
-
-
-class ParseError(ValueError):
-    """A malformed input line, carrying its 1-based line number.
-
-    `reason` names the broken rule: "header", "field count", "number",
-    "timestamp", "protocol", "range" or "flags".
-    """
-
-    def __init__(self, line_no: int, message: str, reason: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.reason = reason
-
 
 class FlowColumns(NamedTuple):
     """Flow records as columns, one array per CSV field, in file order.
@@ -115,6 +72,37 @@ class FlowColumns(NamedTuple):
     def take(self, index: np.ndarray) -> FlowColumns:
         """The rows at `index` (an index array or boolean mask)."""
         return FlowColumns(*(col[index] for col in self))
+
+
+# the CSV field order, which every reader and `FlowRecord` share
+FLOW_COLUMNS = FlowColumns._fields
+FLOW_HEADER = ",".join(FLOW_COLUMNS)
+
+PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
+CHUNK_LINES = 1 << 16
+TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
+
+# Canonical lines are those np.loadtxt reads exactly as float()/int() do:
+# ASCII digits only (no signs, spaces or underscores on integers), and at
+# most 10 integer digits, so int64 holds every value the range checks see.
+_FLOAT = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,3})?"
+_UINT = r"[0-9]{1,10}"
+_CANONICAL = re.compile(
+    ",".join([_FLOAT] * 2 + [_UINT] * 4 + ["(?:TCP|UDP|OTHER)"] + [_UINT] * 5) + "\n?"
+)
+
+
+class ParseError(ValueError):
+    """A malformed input line, carrying its 1-based line number.
+
+    `reason` names the broken rule: "header", "field count", "number",
+    "timestamp", "protocol", "range" or "flags".
+    """
+
+    def __init__(self, line_no: int, message: str, reason: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+        self.reason = reason
 
 
 def _dtype(name: str) -> type:

@@ -76,18 +76,18 @@ def cube_statistic(x, observed):
     return {"u": u, "s_path": s_path, "w": w, "change_bin": idx + 1, "degenerate": denom == 0}
 
 
-def hash_eval(coeffs, x):
-    """Bucket of key x, in 1..coeffs.k_buckets, under one cubic hash row.
+def hash_eval(a_row, k, x):
+    """Bucket of key x, in 1..k, under one cubic hash row.
 
-    Horner evaluation of the cubic with coefficients `coeffs.a` (a[j]
+    Horner evaluation of the cubic with coefficients `a_row` (a_row[j]
     multiplies x^j), every intermediate reduced modulo the Mersenne
     prime 2^61 - 1; Python integers keep the products exact.
     """
     prime = (1 << 61) - 1
     acc = 0
-    for c in reversed(coeffs.a):
+    for c in reversed([int(c) for c in a_row]):
         acc = (acc * x + c) % prime
-    return 1 + acc % coeffs.k_buckets
+    return 1 + acc % k
 
 
 def top_tables(keys, counts, top_m):

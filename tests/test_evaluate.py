@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from flowrank import evaluate
-from flowrank.evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive
+from flowrank import evaluate, hashrank, toprank
+from flowrank.evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive, scorer
+from flowrank.hashrank import sample_coefficients
 from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
 from flowrank.ranktest import alarm_order, statistic_uncensored
 from flowrank.synth import SynthConfig, generate, to_window_batch
@@ -59,6 +60,33 @@ def test_comprehensive_contains_uncensored_toprank_alarms():
     assert np.array_equal(full.change_bin[top_alarms], top.change_bin[top_alarms])
 
 
+@pytest.mark.parametrize("budget", [None, 7])
+def test_scorer_matches_each_method_scorer(budget):
+    rng = np.random.default_rng(19)
+    cfg = WindowConfig(bins_per_window=12, top_m=5, keep_mprime=2)
+    coeffs = sample_coefficients(3, 4, 7)
+    own = {
+        DetectionMethod.TOPRANK: lambda b: toprank.score_window(b, cfg, budget),
+        DetectionMethod.HASHRANK: lambda b: hashrank.score_window(b, coeffs),
+        DetectionMethod.COMPREHENSIVE: score_comprehensive,
+    }
+    batches = [WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 12), dtype=np.int64))]
+    for n in (1, 9, 40):
+        keys = np.sort(rng.choice(10_000, size=n, replace=False))
+        counts = rng.poisson(rng.uniform(0.5, 9.0, (n, 1)), (n, 12))
+        batches.append(WindowBatch(0, 0.0, keys, counts))
+    for method in DetectionMethod:
+        score = scorer(method, cfg, budget, coeffs)
+        for batch in batches:
+            got, want = score(batch), own[method](batch)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_scorer_rejects_unknown_method():
+    with pytest.raises(ValueError):
+        scorer("toprank", WindowConfig(), None, sample_coefficients(0, 1, 2))
+
+
 def small_cfg(seed=0):
     return SynthConfig(dim=80, bins=30, change_rank=8, change_bin=15, factor=6.0, seed=seed)
 
@@ -101,20 +129,43 @@ def test_roc_validates_arguments():
         roc(small_cfg(), DetectionMethod.TOPRANK, runs=1, thresholds=[0.5, 0.1])
 
 
-@pytest.mark.parametrize(
-    "thresholds",
-    [[float("nan")], [float("inf")], [-float("inf")], [-1.0], [2.0], [-1.0, 2.0], [0.5, 0.1], [0.1, float("nan")]],
-)
-def test_roc_rejects_thresholds_that_are_not_ascending_pvalues(thresholds, monkeypatch):
+@pytest.fixture
+def no_runs(monkeypatch):
     def no_run(cfg):
-        raise AssertionError("a run started before the thresholds were checked")
+        raise AssertionError("a run started before the arguments were checked")
 
     monkeypatch.setattr(evaluate, "generate", no_run)
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        [float("nan")], [float("inf")], [-float("inf")], [-1.0], [2.0], [-1.0, 2.0], [0.5, 0.1],
+        [0.1, float("nan")], [],
+    ],
+)
+def test_roc_rejects_thresholds_that_are_not_ascending_pvalues(thresholds, no_runs):
     with pytest.raises(ValueError, match="ascending p-values"):
         check_thresholds(thresholds)
     for method in DetectionMethod:
         with pytest.raises(ValueError, match="ascending p-values"):
             roc(small_cfg(), method, runs=1, thresholds=thresholds)
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        ("threads", 0, "threads"),
+        ("threads", -3, "threads"),
+        ("top_m", 0, "top_m"),
+        ("l_rows", 0, "row"),
+        ("k_buckets", 1, "buckets"),
+    ],
+)
+def test_roc_rejects_bad_arguments_before_any_run(name, value, match, no_runs):
+    for method in DetectionMethod:
+        with pytest.raises(ValueError, match=match):
+            roc(small_cfg(), method, runs=1, **{name: value})
 
 
 def test_check_thresholds_keeps_ascending_pvalues():

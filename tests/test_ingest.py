@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from collections import Counter
 from unittest.mock import patch
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flowrank import ingest
 from flowrank.ingest import (
+    FLOW_COLUMNS,
     FLOW_HEADER,
     FlowColumns,
     ParseError,
@@ -34,6 +36,11 @@ def flow_line(ts, dst_ip=20, syn=1, proto="TCP", packets=10, src_ip=10, dst_port
 
 def csv_of(lines):
     return io.StringIO("\n".join([FLOW_HEADER] + lines) + "\n")
+
+
+def test_flow_columns_follow_flow_record_field_order():
+    # parse_record, FlowColumns.from_records and iter_flow_csv rely on it
+    assert FLOW_COLUMNS == tuple(f.name for f in dataclasses.fields(FlowRecord))
 
 
 def test_parse_record_example():
