@@ -106,7 +106,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
     if args.format == "dense" and args.metric != "syn":
         raise UsageError("dense input is already binned; --metric must stay at its default")
-    _require_at_least(args, budget=1, rows=1, buckets=2)
+    _require_at_least(args, budget=1, rows=1, buckets=2, seed=0)
     cfg = _config(
         WindowConfig,
         delta=args.delta,
@@ -145,6 +145,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _require_at_least(args, seed=0)
     ds = generate(_synth_config(args))
     write_dense_csv(ds, args.output)
     _write_manifest(args.output, "simulate", _namespace_params(args))
@@ -164,7 +165,7 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _require_at_least(args, runs=1, budget=1, top=1, rows=1, buckets=2, threads=1)
+    _require_at_least(args, runs=1, budget=1, top=1, rows=1, buckets=2, threads=1, seed=0)
     methods = (
         [DetectionMethod.TOPRANK, DetectionMethod.HASHRANK, DetectionMethod.COMPREHENSIVE]
         if args.method == "all"

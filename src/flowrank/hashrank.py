@@ -120,7 +120,7 @@ def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> HashCoefficie
     return HashCoefficients(draws, k_buckets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchTable:
     """Aggregated series plus the bucket of every key in every row.
 

@@ -162,7 +162,7 @@ class WindowConfig:
         return self.delta * self.bins_per_window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowBatch:
     """One window as ascending keys int64[N] and their counts int64[N, P].
 

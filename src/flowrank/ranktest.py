@@ -39,7 +39,7 @@ _BLOCK_ROWS = 128
 NEVER_TESTED = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensoredSeries:
     """Per-key series (x(t), observed(t)).
 
@@ -66,7 +66,7 @@ class CensoredSeries:
         object.__setattr__(self, "observed", obs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestOutcome:
     """Result of the change-point test on one series.
 

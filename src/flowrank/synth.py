@@ -11,7 +11,8 @@ directly controls detection difficulty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from numbers import Integral
+from typing import IO, Callable, Optional, Union
 
 import numpy as np
 
@@ -19,6 +20,18 @@ from .model import U32_MAX, WindowBatch
 
 DENSE_HEADER = "key,bin,count"
 _INT64 = np.iinfo(np.int64)
+
+# SeedSequence's entropy pool, as in NumPy's _bit_generator.pyx: pool
+# size, hashmix/mix constants and shift; all arithmetic is mod 2^32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill, PCG, HMC-CS-2014-0905)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise ValueError("dim must be nonnegative")
+        # a row's spawn key must stay one uint32 word (see `_spawn_states`)
+        if self.dim > _MASK32:
+            raise ValueError("dim must be below 2^32")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if self.bins < 2:
             raise ValueError("bins must be at least 2")
         if self.pareto_shape <= 1:
@@ -56,7 +74,7 @@ class SynthConfig:
             raise ValueError("factor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """A dim x bins count matrix with its ground truth.
 
@@ -95,28 +113,89 @@ def sample_pareto(
     return float(out) if out.ndim == 0 else out
 
 
+def _hashmixer(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's `hashmix`, carrying its running multiplier between calls."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _spawn_states(seed: int, n: int) -> np.ndarray:
+    """`SeedSequence(seed).spawn(n + 1)[i].generate_state(4, np.uint64)` for i = 1..n.
+
+    Returns uint64[n, 4], computed for all n children in one pass of
+    uint32 arithmetic. A child's entropy is the seed's uint32 words (low
+    word first, zero-padded to the pool size) followed by its spawn key
+    word i. Only that last word differs between children, so the others
+    enter as one-element arrays and broadcast once it mixes into the pool.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(1, n + 1, dtype=np.uint32))
+    # mix_entropy: hash the first pool-size words in, mix every pool word
+    # into every other, then mix each remaining word into the whole pool
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: 8 uint32 words cycling over the pool, paired low word first
+    hashmix = _hashmixer(_INIT_B, _MULT_B)
+    out = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    return np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(4)], axis=1)
+
+
 def generate(cfg: SynthConfig) -> SyntheticDataset:
     """Draw one synthetic dataset, deterministic in the seed.
 
-    Rows use per-row RNG substreams (spawned from the seed), so row
-    generation order never matters and rows could be drawn in parallel.
+    Stream 0 of `SeedSequence(cfg.seed).spawn(cfg.dim + 1)` draws the
+    intensities and stream i the counts of key i (row i-1), so row
+    generation order never matters. The row streams are seeded in one
+    pass (`_spawn_states`, then PCG64's `srandom` rule) on one reused
+    generator, and draw exactly what `default_rng` on each spawned
+    child would.
     """
-    master = np.random.SeedSequence(cfg.seed)
-    children = master.spawn(cfg.dim + 1)
-    rng = np.random.default_rng(children[0])
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     theta = np.sort(
         np.asarray(sample_pareto(rng.random(cfg.dim), cfg.pareto_shape, cfg.pareto_scale))
     )[::-1].copy()
     y = np.zeros((cfg.dim, cfg.bins), dtype=np.int64)
-    for i in range(cfg.dim):
-        row_rng = np.random.default_rng(children[i + 1])
-        rate = theta[i]
+    bit_generator = rng.bit_generator
+    states = _spawn_states(cfg.seed, cfg.dim).tolist()
+    for i, ((seed_hi, seed_lo, seq_hi, seq_lo), rate) in enumerate(zip(states, theta.tolist())):
+        # srandom: inc = 2 seq + 1; state = ((inc + seed) * mult + inc) mod 2^128
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         if i + 1 == cfg.change_rank:
-            before = row_rng.poisson(rate, cfg.change_bin)
-            after = row_rng.poisson(cfg.factor * rate, cfg.bins - cfg.change_bin)
+            before = rng.poisson(rate, cfg.change_bin)
+            after = rng.poisson(cfg.factor * rate, cfg.bins - cfg.change_bin)
             y[i] = np.concatenate([before, after])
         else:
-            y[i] = row_rng.poisson(rate, cfg.bins)
+            y[i] = rng.poisson(rate, cfg.bins)
     return SyntheticDataset(
         y=y,
         intensities=theta,

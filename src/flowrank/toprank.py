@@ -21,7 +21,7 @@ from .model import WindowBatch, WindowConfig
 from .ranktest import NEVER_TESTED, Scores, statistic_batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopTable:
     """Heavy hitters of every bin of a window, as batch rows.
 

@@ -241,3 +241,26 @@ def bin_records(records, metric, delta, bins, window_index, origin):
         if any(values):
             out[key] = values
     return out
+
+
+def generate(cfg):
+    """`synth.generate` with one `default_rng` per `SeedSequence` spawn child.
+
+    Returns the count matrix y and the descending intensities.
+    """
+    master = np.random.SeedSequence(cfg.seed)
+    children = master.spawn(cfg.dim + 1)
+    rng = np.random.default_rng(children[0])
+    u = rng.random(cfg.dim)
+    theta = np.sort(((1.0 - u) ** (-1.0 / cfg.pareto_shape) - 1.0) / cfg.pareto_scale)[::-1].copy()
+    y = np.zeros((cfg.dim, cfg.bins), dtype=np.int64)
+    for i in range(cfg.dim):
+        row_rng = np.random.default_rng(children[i + 1])
+        rate = theta[i]
+        if i + 1 == cfg.change_rank:
+            before = row_rng.poisson(rate, cfg.change_bin)
+            after = row_rng.poisson(cfg.factor * rate, cfg.bins - cfg.change_bin)
+            y[i] = np.concatenate([before, after])
+        else:
+            y[i] = row_rng.poisson(rate, cfg.bins)
+    return y, theta

@@ -157,6 +157,9 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         ["detect", "--method", "hashrank", "--buckets", "1"],
         ["roc", "--runs", "0"],
         ["roc", "--threads", "0"],
+        ["detect", "--seed", "-1"],
+        ["roc", "--seed", "-1"],
+        ["simulate", "--seed", "-1"],
         # p-value grids: finite, in [0, 1], ascending; dimensions of at least 2
         ["roc", "--thresholds", "nan"],
         ["roc", "--thresholds", "2"],
@@ -176,8 +179,10 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
     # even when the input has no window to spend the budget on
     empty = tmp_path / "empty.csv"
     empty.write_text(FLOW_HEADER + "\n")
-    assert main(["detect", "--input", str(empty), "--output", out, "--budget", "0"]) == 1
-    assert "--budget must be at least 1" in capsys.readouterr().err
+    for bad, message in ((["--budget", "0"], "--budget must be at least 1"),
+                         (["--seed", "-1"], "--seed must be at least 0")):
+        assert main(["detect", "--input", str(empty), "--output", out, *bad]) == 1
+        assert message in capsys.readouterr().err
     # a bin length float64 cannot resolve at the data's timestamps is a data error:
     # 1e-300 s anywhere, a 2 ns window near t = 1.7e9 (one ulp there is 238 ns)
     late = tmp_path / "late.csv"

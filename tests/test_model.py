@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowrank.hashrank import build_sketch, sample_coefficients
 from flowrank.ingest import FlowColumns, bin_window
 from flowrank.model import (
     FlowRecord,
@@ -9,6 +10,9 @@ from flowrank.model import (
     WindowBatch,
     WindowConfig,
 )
+from flowrank.ranktest import CensoredSeries, statistic
+from flowrank.synth import SynthConfig, generate
+from flowrank.toprank import top_filter
 
 
 def tcp_record(**overrides):
@@ -163,3 +167,28 @@ def test_window_batch_checks_keys_and_shape():
     assert (batch.num_keys, batch.bins) == (1, 2)
     empty = WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
     assert (empty.num_keys, empty.bins) == (0, 4)
+
+
+def _small_batch():
+    return WindowBatch(0, 0.0, [1, 2], [[1, 2], [3, 4]])
+
+
+def _small_series():
+    return CensoredSeries(7, [1.0, 3.0, 2.0], [True, False, True])
+
+
+@pytest.mark.parametrize("make", [
+    _small_batch,
+    lambda: sample_coefficients(0, 2, 3),
+    lambda: build_sketch(_small_batch(), sample_coefficients(0, 2, 3)),
+    lambda: top_filter(_small_batch(), WindowConfig(bins_per_window=2)),
+    lambda: generate(SynthConfig(dim=3, bins=4, change_rank=2, change_bin=2, seed=5)),
+    _small_series,
+    lambda: statistic(_small_series()),
+], ids=["WindowBatch", "HashCoefficients", "SketchTable", "TopTable", "SyntheticDataset",
+        "CensoredSeries", "TestOutcome"])
+def test_array_dataclasses_compare_by_identity(make):
+    # an array field has no truth value, so a field-wise == or hash() would raise
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

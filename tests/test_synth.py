@@ -2,9 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import generate as oracle_generate
 
 from flowrank.synth import (
     SynthConfig,
+    _spawn_states,
     generate,
     read_dense_csv,
     sample_pareto,
@@ -91,12 +95,76 @@ def test_generate_intensity_quantiles_track_inverse_cdf():
 def test_generate_validates_config():
     with pytest.raises(ValueError):
         SynthConfig(dim=10, change_rank=11)
+    # a spawn key is one uint32 word, and the seed's words need a nonnegative integer
+    with pytest.raises(ValueError):
+        SynthConfig(dim=2**32)
+    SynthConfig(dim=2**32 - 1)
+    for seed in (-1, -(2**40), 1.0, "1", None):
+        with pytest.raises(ValueError):
+            SynthConfig(seed=seed)
+    numpy_seed = SynthConfig(dim=40, change_rank=3, seed=np.uint64(2**63 + 1))
+    assert np.array_equal(generate(numpy_seed).y, oracle_generate(numpy_seed)[0])
     with pytest.raises(ValueError):
         SynthConfig(bins=10, change_bin=10)
     with pytest.raises(ValueError):
         SynthConfig(factor=0.0)
     with pytest.raises(ValueError):
         SynthConfig(pareto_shape=1.0)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 9, 10**40]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_spawn_states_match_seed_sequence(seed):
+    # fails if a NumPy release changes SeedSequence's pool or mixing
+    children = np.random.SeedSequence(seed).spawn(41)
+    expected = np.array([c.generate_state(4, np.uint64) for c in children[1:]])
+    assert np.array_equal(_spawn_states(seed, 40), expected)
+    assert _spawn_states(seed, 0).shape == (0, 4)
+
+
+def _assert_generate_matches_oracle(cfg):
+    ds = generate(cfg)
+    y, theta = oracle_generate(cfg)
+    assert ds.y.dtype == y.dtype and np.array_equal(ds.y, y)
+    assert np.array_equal(ds.intensities, theta)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim,bins,change_rank,change_bin,factor", [
+    (0, 2, 1, 1, 7.0),
+    (1, 2, 1, 1, 7.0),
+    (2, 60, 1, 35, 7.0),
+    (2, 2, 2, 1, 1.0),
+    (37, 60, 1, 59, 3.0),
+    (37, 2, 37, 1, 1.0),
+    (1000, 60, 1, 35, 2.0),
+    (1000, 60, 1000, 35, 1.0),
+])
+def test_generate_matches_per_row_seed_sequence_oracle(
+    seed, dim, bins, change_rank, change_bin, factor
+):
+    _assert_generate_matches_oracle(SynthConfig(
+        dim=dim, bins=bins, change_rank=change_rank, change_bin=change_bin, factor=factor,
+        seed=seed,
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generate_matches_oracle_on_random_configs(data):
+    dim = data.draw(st.integers(0, 80))
+    bins = data.draw(st.integers(2, 30))
+    _assert_generate_matches_oracle(SynthConfig(
+        dim=dim,
+        bins=bins,
+        change_rank=data.draw(st.integers(1, max(dim, 1))),
+        change_bin=data.draw(st.integers(1, bins - 1)),
+        factor=data.draw(st.sampled_from([1.0, 0.5, 7.0])),
+        pareto_shape=data.draw(st.sampled_from([1.5, 2.5])),
+        seed=data.draw(st.integers(0, 2**160)),
+    ))
 
 
 def test_to_window_batch_round_trip():
