@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from stat import S_ISREG
+from typing import IO, Iterator, Optional, Sequence
 
 from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, scorer
@@ -39,6 +42,28 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _overwrite(path: str) -> Iterator[IO[str]]:
+    """Open `path` for writing text over its old bytes, then cut any stale tail.
+
+    The file is not truncated to zero first: on ext4 (with its default
+    `auto_da_alloc`) truncating a just-written file to zero, or renaming
+    a new file over it, makes closing it wait for a flush to disk. Only a
+    regular file is cut, so pipes and devices are written as before.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            info = os.fstat(fd)
+            if S_ISREG(info.st_mode):
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if info.st_size > end:
+                    os.ftruncate(fd, end)
+
+
 def _write_manifest(output: str, command: str, parameters: dict) -> None:
     manifest = {
         "command": command,
@@ -46,14 +71,14 @@ def _write_manifest(output: str, command: str, parameters: dict) -> None:
         "parameters": parameters,
         "output": output,
     }
-    with open(output + ".manifest.json", "w", encoding="utf-8") as fh:
+    with _overwrite(output + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_table(args: argparse.Namespace, header: str, lines: list, what: str, params: dict) -> int:
     """Write the CSV `header` and `lines` to `--output` plus its manifest; report the count."""
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _overwrite(args.output) as fh:
         fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
@@ -147,7 +172,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require_at_least(args, seed=0)
     ds = generate(_synth_config(args))
-    write_dense_csv(ds, args.output)
+    with _overwrite(args.output) as fh:
+        write_dense_csv(ds, fh)
     _write_manifest(args.output, "simulate", _namespace_params(args))
     print(f"wrote {int((ds.y > 0).sum())} nonzero cells to {args.output}")
     return 0
@@ -165,7 +191,7 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _require_at_least(args, runs=1, budget=1, top=1, rows=1, buckets=2, threads=1, seed=0)
+    _require_at_least(args, runs=1, dim=1, budget=1, top=1, rows=1, buckets=2, threads=1, seed=0)
     methods = (
         [DetectionMethod.TOPRANK, DetectionMethod.HASHRANK, DetectionMethod.COMPREHENSIVE]
         if args.method == "all"
@@ -215,6 +241,7 @@ def cmd_fisher(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown density {args.density!r}; built-ins: {sorted(BUILTIN_DENSITIES)}"
         )
+    _require_at_least(args, seed=0)
     density = BUILTIN_DENSITIES[args.density]
     dims = _parse_list(args.dims, int, "dims")
     if min(dims) < 2:

@@ -10,12 +10,18 @@ seconds, proto one of TCP/UDP/OTHER, counters below 2^32. Records need
 not be time-sorted within a window. Each record is attributed wholly to
 the bin containing its start time.
 
-`read_flow_csv` reads the file in chunks of lines into columns. Lines in
+`read_flow_csv` reads the file in chunks of lines into columns, screening
+each chunk at two levels. First the whole chunk: when its lines are
+nonblank and use only the characters a record can hold (digits, `.,eE+-`
+and the letters of the protocol names), one `np.loadtxt` call converts
+it, and the chunk counts as canonical if that call returns one row per
+line. Otherwise each line is screened on its own, and the lines in
 canonical form (ASCII digits, unsigned integers) are converted by one
-`np.loadtxt` call per chunk and validated by vector checks. Every other
-line, and every line a vector check rejects, goes through
-`parse_record`, the per-line reference: it either accepts the line with
-the same values or raises the `ParseError` that names it.
+`np.loadtxt` call. Either way the converted rows are validated by vector
+checks. Every other line, and every row a vector
+check rejects, goes through `parse_record`, the per-line reference: it
+either accepts the line with the same values or raises the `ParseError`
+that names it.
 """
 
 from __future__ import annotations
@@ -82,9 +88,21 @@ PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
 CHUNK_LINES = 1 << 16
 TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
 
-# Canonical lines are those np.loadtxt reads exactly as float()/int() do:
-# ASCII digits only (no signs, spaces or underscores on integers), and at
-# most 10 integer digits, so int64 holds every value the range checks see.
+# The chunk screen: nonblank lines of these characters only, each ending
+# in "\n" (the last may not). On them np.loadtxt reads floats as float()
+# does and integers as int() does (signs, leading zeros and up to 19
+# digits); what it cannot read exactly (an int64 overflow, "5.0" or "1e5"
+# as an integer, a wrong field count, an element with an embedded newline)
+# raises ValueError, and an element it skips as blank leaves the row count
+# short. Both send the chunk to the per-line screen. Blank lines must fail
+# the screen itself: on a chunk of nothing else np.loadtxt warns.
+_RECORD_CHARS = r"[0-9.,eE+\-TCPUDOHR]"
+_CHUNK = re.compile(rf"(?:{_RECORD_CHARS}+\n)*{_RECORD_CHARS}+\n?")
+
+# The per-line screen. Canonical lines are those np.loadtxt reads exactly
+# as float()/int() do: ASCII digits only (no signs, spaces or underscores
+# on integers), and at most 10 integer digits, so int64 holds every value
+# the range checks see.
 _FLOAT = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,3})?"
 _UINT = r"[0-9]{1,10}"
 _CANONICAL = re.compile(
@@ -185,7 +203,7 @@ def _convert(lines: list[str]) -> FlowColumns:
     if not lines:
         return FlowColumns.from_records([])
     raw = np.loadtxt(lines, delimiter=",", comments=None, dtype=_LOADTXT_DTYPE, ndmin=1)
-    proto = np.full(len(lines), -1, dtype=np.int8)
+    proto = np.full(raw.size, -1, dtype=np.int8)
     for code, p in enumerate(PROTOCOLS):
         proto[raw["proto"] == p.value] = code
     return FlowColumns(
@@ -193,21 +211,36 @@ def _convert(lines: list[str]) -> FlowColumns:
     )
 
 
+def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
+    """The indices of the lines `np.loadtxt` read, and their columns.
+
+    That is every line when the chunk passes the chunk screen, else the
+    lines that pass the per-line screen.
+    """
+    if _CHUNK.fullmatch("".join(lines)):
+        try:
+            cols = _convert(lines)
+        except ValueError:
+            pass
+        else:
+            if cols.ts_start.size == len(lines):
+                return np.arange(len(lines)), cols
+    at = [i for i, line in enumerate(lines) if _CANONICAL.fullmatch(line)]
+    return np.array(at, dtype=np.intp), _convert([lines[i] for i in at])
+
+
 def _read_chunk(
     lines: list[str], first_line_no: int, errors: str, skipped: Optional[Counter]
 ) -> FlowColumns:
-    canonical = np.fromiter(
-        (_CANONICAL.fullmatch(line) is not None for line in lines), dtype=bool, count=len(lines)
-    )
-    at = np.flatnonzero(canonical)
-    cols = _convert([lines[i] for i in at])
+    at, cols = _screen(lines)
     ok = _valid(cols)
     if ok.all() and at.size == len(lines):
         return cols
     # every other line goes through the per-line reference, in line order
-    redo = np.union1d(np.flatnonzero(~canonical), at[~ok])
+    redo = np.ones(len(lines), dtype=bool)
+    redo[at[ok]] = False
     records, record_at = [], []
-    for i in redo.tolist():
+    for i in np.flatnonzero(redo).tolist():
         line = lines[i]
         if not line.strip():
             continue

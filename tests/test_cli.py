@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -160,6 +161,8 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         ["detect", "--seed", "-1"],
         ["roc", "--seed", "-1"],
         ["simulate", "--seed", "-1"],
+        ["fisher", "--seed", "-1"],
+        ["roc", "--dim", "0"],
         # p-value grids: finite, in [0, 1], ascending; dimensions of at least 2
         ["roc", "--thresholds", "nan"],
         ["roc", "--thresholds", "2"],
@@ -176,6 +179,7 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
         assert main([*extra, *io_args, "--output", out]) == 1, extra
         assert "flowrank: error:" in capsys.readouterr().err
+    assert main(["simulate", "--dim", "0", "--output", out]) == 0  # an empty dataset
     # even when the input has no window to spend the budget on
     empty = tmp_path / "empty.csv"
     empty.write_text(FLOW_HEADER + "\n")
@@ -194,6 +198,43 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         assert "data error" in err and "Traceback" not in err
     # near t = 60 it resolves; records on a window edge are binned, not rejected
     assert main(["detect", "--input", str(flow_csv), "--output", out, "--delta", "1e-9", "--window", "2"]) == 0
+
+
+SMALL_RUNS = {
+    "detect": ["--alpha", "0.5"],
+    "roc": ["--runs", "1", "--dim", "30", "--bins", "12", "--change-at", "6",
+            "--target-rank", "3", "--budget", "8", "--top", "4", "--method", "toprank"],
+    "fisher": ["--dims", "4", "--mc", "100", "--grid", "16384"],
+    "simulate": ["--dim", "20", "--bins", "10", "--change-at", "5", "--target-rank", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_rerun_overwrites_longer_outputs_in_place(flow_csv, tmp_path, command, capsys):
+    argv = [command, *SMALL_RUNS[command]]
+    if command == "detect":
+        argv += ["--input", str(flow_csv)]
+    out = tmp_path / "out.csv"
+    manifest = tmp_path / "out.csv.manifest.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    want = out.read_bytes(), manifest.read_bytes()
+    inodes = out.stat().st_ino, manifest.stat().st_ino
+    for path, text in zip((out, manifest), want):
+        path.write_bytes(text + b"stale tail\n" * 1000)
+    assert main([*argv, "--output", str(out)]) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == want
+    assert (out.stat().st_ino, manifest.stat().st_ino) == inodes
+    # through a symlink the target is rewritten and the link stays
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    out.write_bytes(want[0] + b"stale tail\n")
+    assert main([*argv, "--output", str(link)]) == 0
+    assert link.is_symlink() and out.read_bytes() == want[0]
+    assert out.stat().st_ino == inodes[0]
+    # an output directory that does not exist is a data error
+    capsys.readouterr()
+    assert main([*argv, "--output", str(tmp_path / "missing" / "out.csv")]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_detect_window_without_metric_records_writes_header_only(tmp_path):

@@ -1,11 +1,11 @@
 import dataclasses
 import io
 from collections import Counter
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowrank import ingest
@@ -259,13 +259,23 @@ ODD_FIELDS = (
     "4294967295", "4294967296", "65535", "65536", "12345678901", "99999999999999999999",
     "OTHERX", "OTHE", "tcp", "TCP ",
 )
+# odd fields made only of the characters the chunk screen admits, most of
+# which np.loadtxt reads; parse_record or the range checks reject many
+SCREENED_FIELDS = (
+    "+5", "-0", "0005", "-5", "12345678901", "1234567890123456789", "9223372036854775807",
+    "-9223372036854775808", "9223372036854775808", "99999999999999999999", "1e400", "-1.5",
+    "+.5", "5.0", "1E5", "TCPUDPX", "UDPTCP", "",
+)
+VALID = "0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\n"
+FLAGS = "0.5,0.6,1,2,3,4,TCP,1,1,1,0,0\n"  # np.loadtxt reads it, the flag check rejects it
 
 
 @st.composite
-def flow_text_lines(draw):
+def flow_text_lines(draw, odd=ODD_FIELDS, blank=("\n", "  \n", "\t\r\n", "", "\u2003\n"),
+                    endings=("\n", "\n", "\n", "\r\n", "")):
     """A flow CSV line: mostly well-formed, with odd fields, field counts and endings."""
     if draw(st.integers(0, 15)) == 0:
-        return draw(st.sampled_from(["\n", "  \n", "\t\r\n", "", "\u2003\n"]))
+        return draw(st.sampled_from(blank))
     ts = draw(st.floats(-1e4, 1e4, allow_nan=False))
     fmt = draw(st.sampled_from(["{:.3f}", "{!r}", "{:.2e}", "{:.0f}"]))
     proto = draw(st.sampled_from(["TCP", "TCP", "UDP", "OTHER"]))
@@ -282,10 +292,16 @@ def flow_text_lines(draw):
     ]
     for i in range(len(fields)):
         if draw(st.integers(0, 11)) == 0:
-            fields[i] = draw(st.sampled_from(ODD_FIELDS))
+            fields[i] = draw(st.sampled_from(odd))
     cut = draw(st.sampled_from([12] * 12 + [11, 13, 1]))
     fields = (fields + ["0"])[:cut]
-    return ",".join(fields) + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", ""]))
+    return ",".join(fields) + draw(st.sampled_from(endings))
+
+
+# elements a chunk screen must pass or send line by line: blank lines, '',
+# no newline, an embedded newline
+screened_text_lines = flow_text_lines(
+    odd=SCREENED_FIELDS, blank=("\n", ""), endings=("\n",) * 12 + ("", "\n\n", "\n" + VALID))
 
 
 def assert_same_columns(got, want):
@@ -294,8 +310,17 @@ def assert_same_columns(got, want):
         assert a.tobytes() == b.tobytes(), name  # floats bit for bit
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(flow_text_lines(), max_size=14))
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns when it finds no data
+@settings(max_examples=600, deadline=None)
+@given(st.lists(flow_text_lines(), max_size=14) | st.lists(screened_text_lines, max_size=14))
+@example(["\n"])
+@example(["", "\n", "", "\n", VALID])
+@example([VALID, ""])
+@example([VALID, "", FLAGS])
+@example([VALID.rstrip(), "\n", FLAGS])
+@example(["", VALID + VALID])
+@example([VALID.rstrip(), "\n", VALID + VALID])
+@example([VALID.rstrip(), VALID, VALID.rstrip()])
 def test_read_flow_csv_matches_per_line_reference(lines):
     records, errors = [], []
     for line_no, line in enumerate(lines, start=2):
@@ -320,6 +345,35 @@ def test_read_flow_csv_matches_per_line_reference(lines):
                 first.line_no, str(first), first.reason)
         else:
             assert_same_columns(read_flow_csv(source), FlowColumns.from_records(records))
+
+
+def test_plain_corpus_skips_the_per_line_screen():
+    lines = [flow_line(t / 7 - 30, dst_ip=t % 13, proto=("TCP", "UDP", "OTHER")[t % 3])
+             for t in range(300)]
+    lines[50] = FLAGS.rstrip()  # read, then rejected by the flag check
+    refuse = Mock(side_effect=AssertionError("per-line screen called"))
+    with patch.object(ingest, "CHUNK_LINES", 64), \
+            patch.object(ingest, "_CANONICAL", Mock(fullmatch=refuse)):
+        skipped = Counter()
+        got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
+    assert skipped == {"flags": 1}
+    del lines[50]
+    assert_same_columns(got, FlowColumns.from_records(parse_record(line) for line in lines))
+
+
+@pytest.mark.parametrize("odd", [
+    "0.5,0.6,1,2,3,4,TC_P,3,1,1,1,0\n",  # np.loadtxt reads any proto text
+    "0.5,0.6,1,2,3,4,TCP ,3,1,1,1,0\n",
+    " 0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\n",
+    "0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\r\n",
+    "0.5,0.6,1,2,3,4,tcp,3,1,1,1,0\n",
+    "0.5,0.6,1,2,3,4,TCP,3,1,1,1,\u0660\n",
+])
+def test_chunk_screen_sends_other_characters_line_by_line(odd):
+    spy = Mock(wraps=ingest._CANONICAL)
+    with patch.object(ingest, "_CANONICAL", spy):
+        read_flow_csv([FLOW_HEADER + "\n", VALID, odd], errors="skip")
+    assert spy.fullmatch.call_count == 2
 
 
 def test_canonical_timestamps_match_float_bit_for_bit():
