@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
-from stat import S_ISREG
-from typing import IO, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, scorer
@@ -42,28 +39,6 @@ class UsageError(Exception):
     pass
 
 
-@contextmanager
-def _overwrite(path: str) -> Iterator[IO[str]]:
-    """Open `path` for writing text over its old bytes, then cut any stale tail.
-
-    The file is not truncated to zero first: on ext4 (with its default
-    `auto_da_alloc`) truncating a just-written file to zero, or renaming
-    a new file over it, makes closing it wait for a flush to disk. Only a
-    regular file is cut, so pipes and devices are written as before.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        try:
-            yield fh
-        finally:
-            fh.flush()
-            info = os.fstat(fd)
-            if S_ISREG(info.st_mode):
-                end = os.lseek(fd, 0, os.SEEK_CUR)
-                if info.st_size > end:
-                    os.ftruncate(fd, end)
-
-
 def _write_manifest(output: str, command: str, parameters: dict) -> None:
     manifest = {
         "command": command,
@@ -71,14 +46,14 @@ def _write_manifest(output: str, command: str, parameters: dict) -> None:
         "parameters": parameters,
         "output": output,
     }
-    with _overwrite(output + ".manifest.json") as fh:
+    with open(output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_table(args: argparse.Namespace, header: str, lines: list, what: str, params: dict) -> int:
     """Write the CSV `header` and `lines` to `--output` plus its manifest; report the count."""
-    with _overwrite(args.output) as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
@@ -172,8 +147,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require_at_least(args, seed=0)
     ds = generate(_synth_config(args))
-    with _overwrite(args.output) as fh:
-        write_dense_csv(ds, fh)
+    write_dense_csv(ds, args.output)
     _write_manifest(args.output, "simulate", _namespace_params(args))
     print(f"wrote {int((ds.y > 0).sum())} nonzero cells to {args.output}")
     return 0

@@ -14,20 +14,21 @@ the bin containing its start time.
 each chunk at two levels. First the whole chunk: when its lines are
 nonblank and use only the characters a record can hold (digits, `.,eE+-`
 and the letters of the protocol names), one `np.loadtxt` call converts
-it, and the chunk counts as canonical if that call returns one row per
-line. Otherwise each line is screened on its own, and the lines in
-canonical form (ASCII digits, unsigned integers) are converted by one
-`np.loadtxt` call. Either way the converted rows are validated by vector
-checks. Every other line, and every row a vector
-check rejects, goes through `parse_record`, the per-line reference: it
-either accepts the line with the same values or raises the `ParseError`
-that names it.
+it, and the chunk counts as canonical if that call neither fails nor
+warns of a deprecated integer parse, and returns one row per line.
+Otherwise each line is screened on its own, and the lines in canonical
+form (ASCII digits, unsigned integers) are converted by one `np.loadtxt`
+call. Either way the converted rows are validated by vector checks.
+Every other line, and every row a vector check rejects, goes through
+`parse_record`, the per-line reference: it either accepts the line with
+the same values or raises the `ParseError` that names it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import warnings
 from collections import Counter
 from itertools import islice
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
@@ -94,8 +95,11 @@ TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
 # digits); what it cannot read exactly (an int64 overflow, "5.0" or "1e5"
 # as an integer, a wrong field count, an element with an embedded newline)
 # raises ValueError, and an element it skips as blank leaves the row count
-# short. Both send the chunk to the per-line screen. Blank lines must fail
-# the screen itself: on a chunk of nothing else np.loadtxt warns.
+# short. Both send the chunk to the per-line screen. While NumPy (from
+# 1.23) only deprecated reading "5.0" as an integer, it warned and read 5;
+# that DeprecationWarning is raised as an error, so such a chunk goes to
+# the per-line screen on every NumPy version. Blank lines must fail the
+# screen itself: on a chunk of nothing else np.loadtxt warns.
 _RECORD_CHARS = r"[0-9.,eE+\-TCPUDOHR]"
 _CHUNK = re.compile(rf"(?:{_RECORD_CHARS}+\n)*{_RECORD_CHARS}+\n?")
 
@@ -219,8 +223,10 @@ def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     """
     if _CHUNK.fullmatch("".join(lines)):
         try:
-            cols = _convert(lines)
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                cols = _convert(lines)
+        except (ValueError, DeprecationWarning):
             pass
         else:
             if cols.ts_start.size == len(lines):

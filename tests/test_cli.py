@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -210,7 +209,7 @@ SMALL_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
-def test_rerun_overwrites_longer_outputs_in_place(flow_csv, tmp_path, command, capsys):
+def test_rerun_overwrites_longer_outputs(flow_csv, tmp_path, command, capsys):
     argv = [command, *SMALL_RUNS[command]]
     if command == "detect":
         argv += ["--input", str(flow_csv)]

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 from collections import Counter
 from unittest.mock import Mock, patch
 
@@ -374,6 +375,34 @@ def test_chunk_screen_sends_other_characters_line_by_line(odd):
     with patch.object(ingest, "_CANONICAL", spy):
         read_flow_csv([FLOW_HEADER + "\n", VALID, odd], errors="skip")
     assert spy.fullmatch.call_count == 2
+
+
+def loadtxt_that_truncates(real=np.loadtxt):
+    """np.loadtxt as NumPy 1.23 to 1.26 read "3.9" as an integer: a warning, then 3."""
+    def loadtxt(lines, **kwargs):
+        if any(",3.9," in line for line in lines):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            lines = [line.replace(",3.9,", ",3,") for line in lines]
+        return real(lines, **kwargs)
+    return loadtxt
+
+
+@pytest.mark.parametrize("loadtxt", [np.loadtxt, loadtxt_that_truncates()],
+                         ids=["installed", "truncating"])
+def test_fractional_counter_is_a_parse_error_under_default_filters(loadtxt):
+    lines = [flow_line(t) for t in range(20)]
+    lines[7] = "0.5,0.6,1,2,3,4,TCP,3.9,1,1,1,0"
+    with warnings.catch_warnings(), patch.object(np, "loadtxt", loadtxt):
+        warnings.simplefilter("default")
+        with pytest.raises(ParseError) as info:
+            read_flow_csv(csv_of(lines))
+        assert (info.value.line_no, info.value.reason) == (9, "number")
+        skipped = Counter()
+        got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
+    assert skipped == {"number": 1}
+    del lines[7]
+    assert_same_columns(got, FlowColumns.from_records(parse_record(line) for line in lines))
 
 
 def test_canonical_timestamps_match_float_bit_for_bit():
