@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, scorer
+from .fisher import BUILTIN_DENSITIES, MIN_GRID, _check_theta, estimate_info_max, estimate_info_sum
 from .hashrank import sample_coefficients
 from .ingest import ParseError, read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig
@@ -207,27 +208,25 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
 
 def cmd_fisher(args: argparse.Namespace) -> int:
-    # imported here, not at the top: fisher needs scipy, the other subcommands
-    # run on numpy alone and should not pay scipy's import time on every launch
-    from .fisher import BUILTIN_DENSITIES, estimate_info_max, estimate_info_sum
-
     if args.density not in BUILTIN_DENSITIES:
         raise UsageError(
             f"unknown density {args.density!r}; built-ins: {sorted(BUILTIN_DENSITIES)}"
         )
-    _require_at_least(args, seed=0)
+    _require_at_least(args, mc=2, seed=0)
+    _config(_check_theta, theta=args.theta)
+    if args.grid < MIN_GRID or args.grid & (args.grid - 1):
+        raise UsageError(f"--grid must be a power of two of at least {MIN_GRID}")
+    dtheta = args.dtheta_frac * args.theta
+    if not 0.0 < dtheta < args.theta:
+        raise UsageError("--dtheta-frac must lie in (0, 1)")
     density = BUILTIN_DENSITIES[args.density]
     dims = _parse_list(args.dims, int, "dims")
     if min(dims) < 2:
         raise UsageError("--dims must be at least 2")
     lines = []
     for i, dim in enumerate(dims):
-        est_max = estimate_info_max(
-            density, args.theta, dim, n_mc=args.mc, seed=args.seed + i
-        )
-        est_sum = estimate_info_sum(
-            density, args.theta, dim, grid_n=args.grid, dtheta=args.dtheta_frac * args.theta
-        )
+        est_max = estimate_info_max(density, args.theta, dim, n_mc=args.mc, seed=args.seed + i)
+        est_sum = estimate_info_sum(density, args.theta, dim, grid_n=args.grid, dtheta=dtheta)
         for est in (est_max, est_sum):
             lines.append(
                 f"{est.method.value},{est.dim},{est.theta:.6g},"

@@ -249,12 +249,12 @@ def read_dense_csv(
             continue
         if text.startswith("#"):
             if text.startswith("# truth:"):
-                parts = dict(kv.split("=") for kv in text[len("# truth:"):].split(","))
-                truth = {
-                    "i0": int(parts["i0"]),
-                    "j0": int(parts["j0"]),
-                    "eta": float(parts["eta"]),
-                }
+                try:
+                    parts = dict(kv.split("=") for kv in text[len("# truth:"):].split(","))
+                    truth = {"i0": int(parts["i0"]), "j0": int(parts["j0"]),
+                             "eta": float(parts["eta"])}
+                except (KeyError, ValueError):
+                    raise ValueError(f"line {line_no}: bad truth line {text!r}") from None
             continue
         if not header_seen:
             if text != DENSE_HEADER:

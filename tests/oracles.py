@@ -8,6 +8,7 @@ and shares no code with the package implementation.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 
 def brute_statistic(x, observed):
@@ -264,3 +265,27 @@ def generate(cfg):
         else:
             y[i] = row_rng.poisson(rate, cfg.bins)
     return y, theta
+
+
+def limit_info_max_quad(d, theta):
+    """`fisher.limit_info_max` by adaptive quadrature (scipy's `quad`)."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    const = theta * float(d.score_ratio(theta))
+    weight_below = float(d.cdf(theta))
+
+    def first(x: float) -> float:
+        return x * float(d.pdf_deriv(x))
+
+    def second(x: float) -> float:
+        p = float(d.pdf(x))
+        if p <= 0.0:
+            return 0.0
+        dp = float(d.pdf_deriv(x))
+        return x * x * dp * dp / p
+
+    m1, _ = quad(first, theta, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    m2, _ = quad(second, theta, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    m1 += const * weight_below
+    m2 += const * const * weight_below
+    return (m2 - m1 * m1) / (theta * theta)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flowrank import cli
 from flowrank.cli import main
 from flowrank.ingest import FLOW_HEADER
 
@@ -120,11 +121,14 @@ def test_detect_counter_overflow_is_a_data_error(tmp_path, capsys, syn):
 
 def test_detect_dense_bad_count_is_a_data_error(tmp_path, capsys):
     dense = tmp_path / "dense.csv"
-    dense.write_text("key,bin,count\n1,1,100000000000000000000\n")
-    rc = main(["detect", "--input", str(dense), "--format", "dense",
-               "--output", str(tmp_path / "o.csv")])
-    assert rc == 2
-    assert "line 2:" in capsys.readouterr().err
+    # a bad truth line, too, is a data error and not a traceback
+    for text, where in (("key,bin,count\n1,1,100000000000000000000\n", "line 2:"),
+                        ("# truth:a=1\nkey,bin,count\n1,1,1\n", "line 1:")):
+        dense.write_text(text)
+        rc = main(["detect", "--input", str(dense), "--format", "dense",
+                   "--output", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert where in capsys.readouterr().err
 
 
 def test_detect_missing_input_is_data_error(tmp_path):
@@ -133,7 +137,12 @@ def test_detect_missing_input_is_data_error(tmp_path):
     assert rc == 2
 
 
-def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
+def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("a fisher option value must be checked before any estimate runs")
+
+    monkeypatch.setattr(cli, "estimate_info_max", no_estimate)
+    monkeypatch.setattr(cli, "estimate_info_sum", no_estimate)
     for argv in (
         ["detect", "--method", "bogus", "--input", "x"],
         ["detect", "--input", "x", "--threads", "2"],  # detect has no --threads
@@ -174,6 +183,12 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys):
         ["fisher", "--dims", "1"],
         ["fisher", "--dims", "x"],
         ["fisher", "--dims", "16,2.5"],
+        ["fisher", "--theta", "1.5"],
+        ["fisher", "--theta", "0"],
+        ["fisher", "--mc", "1"],
+        ["fisher", "--grid", "1000"],
+        ["fisher", "--dtheta-frac", "2"],
+        ["fisher", "--dtheta-frac", "0"],
     ):
         io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
         assert main([*extra, *io_args, "--output", out]) == 1, extra

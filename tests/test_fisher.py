@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
 import flowrank.fisher as fisher_mod
 from flowrank.fisher import (
     BUILTIN_DENSITIES,
     FisherMethod,
     ResolutionError,
+    ToyDensity,
     estimate_info_max,
     estimate_info_sum,
     info_sum_target,
     limit_info_max,
 )
+from oracles import limit_info_max_quad
 
 D33 = BUILTIN_DENSITIES["beta33"]
 
@@ -41,6 +45,104 @@ def test_tilted_derivative_integrates_to_one():
 
 def test_limit_info_max_matches_closed_form():
     assert limit_info_max(D33, 0.5) == pytest.approx(GOLDEN_LIMIT_HALF, abs=1e-8)
+
+
+def _density(name, pdf, pdf_deriv, cdf, score_ratio, mean_mu, var_sigma2):
+    # limit_info_max never samples
+    return ToyDensity(name, pdf, pdf_deriv, cdf, score_ratio, mean_mu, var_sigma2, sampler=None)
+
+
+# p = 2 sin^2(pi x): smooth but not a polynomial; p'^2/p = 8 pi^2 cos^2(pi x)
+SIN2 = _density(
+    "sin2",
+    pdf=lambda x: 2.0 * np.sin(np.pi * x) ** 2,
+    pdf_deriv=lambda x: 2.0 * np.pi * np.sin(2.0 * np.pi * x),
+    cdf=lambda x: x - np.sin(2.0 * np.pi * x) / (2.0 * np.pi),
+    score_ratio=lambda x: 2.0 * np.pi / np.tan(np.pi * x),
+    mean_mu=0.5,
+    var_sigma2=1.0 / 12.0 - 1.0 / (2.0 * np.pi**2),
+)
+# the triangle on [0, 1]: a kink at 1/2, and x^2 p'^2/p = 4x^2/(1-x) above it diverges at 1
+TRIANGLE = _density(
+    "triangle",
+    pdf=lambda x: np.where(x < 0.5, 4.0 * x, 4.0 * (1.0 - x)),
+    pdf_deriv=lambda x: np.where(x < 0.5, 4.0, -4.0),
+    cdf=lambda x: np.where(x < 0.5, 2.0 * x * x, 1.0 - 2.0 * (1.0 - x) ** 2),
+    score_ratio=lambda x: np.where(x < 0.5, 1.0 / x, -1.0 / (1.0 - x)),
+    mean_mu=0.5,
+    var_sigma2=1.0 / 24.0,
+)
+# p = 12 min(x, 1-x)^2: a kink at 1/2 with every moment finite (p'^2/p = 48)
+PARABOLA_TENT = _density(
+    "parabola_tent",
+    pdf=lambda x: 12.0 * np.minimum(x, 1.0 - x) ** 2,
+    pdf_deriv=lambda x: np.where(x < 0.5, 24.0 * x, -24.0 * (1.0 - x)),
+    cdf=lambda x: np.where(x < 0.5, 4.0 * x**3, 1.0 - 4.0 * (1.0 - x) ** 3),
+    score_ratio=lambda x: np.where(x < 0.5, 2.0 / x, -2.0 / (1.0 - x)),
+    mean_mu=0.5,
+    var_sigma2=0.025,
+)
+# p = (pi/2) sin(pi x): smooth, but p'^2/p ~ 1/(1-x) makes the second moment diverge
+HALF_SINE = _density(
+    "half_sine",
+    pdf=lambda x: 0.5 * np.pi * np.sin(np.pi * x),
+    pdf_deriv=lambda x: 0.5 * np.pi**2 * np.cos(np.pi * x),
+    cdf=lambda x: 0.5 * (1.0 - np.cos(np.pi * x)),
+    score_ratio=lambda x: np.pi / np.tan(np.pi * x),
+    mean_mu=0.5,
+    var_sigma2=0.25 - 2.0 / np.pi**2,
+)
+
+
+def _beta(a, b):
+    c = 1.0 / beta_fn(a, b)
+    return _density(
+        f"beta_{a:g}_{b:g}",
+        pdf=lambda x: c * x ** (a - 1) * (1.0 - x) ** (b - 1),
+        pdf_deriv=lambda x: (
+            c * x ** (a - 2) * (1.0 - x) ** (b - 2) * ((a - 1) * (1.0 - x) - (b - 1) * x)
+        ),
+        cdf=lambda x: betainc(a, b, x),
+        score_ratio=lambda x: (a - 1) / x - (b - 1) / (1.0 - x),
+        mean_mu=a / (a + b),
+        var_sigma2=a * b / ((a + b) ** 2 * (a + b + 1)),
+    )
+
+
+# p ~ (1-x)^(b-1) with a fractional b: 32 and 64 nodes agree to about 1e-12 for b = 6.5,
+# but only to about 5e-8 for b = 4.5, so the two bracket the 1e-10 tolerance
+BETA_3_6_5 = _beta(3.0, 6.5)
+BETA_3_4_5 = _beta(3.0, 4.5)
+
+
+def test_limit_info_max_matches_quad_oracle_on_beta33():
+    for theta in np.linspace(0.001, 0.999, 501).tolist():
+        got, want = limit_info_max(D33, theta), limit_info_max_quad(D33, theta)
+        assert f"{got:.8g}" == f"{want:.8g}", theta
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), theta
+
+
+@pytest.mark.parametrize("density", [SIN2, BETA_3_6_5], ids=lambda d: d.name)
+def test_limit_info_max_matches_quad_oracle_on_smooth_density(density):
+    for theta in np.linspace(0.01, 0.99, 99).tolist():
+        got, want = limit_info_max(density, theta), limit_info_max_quad(density, theta)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0), theta
+
+
+@pytest.mark.parametrize("density, theta", [
+    (TRIANGLE, 0.3), (TRIANGLE, 0.7), (PARABOLA_TENT, 0.3), (HALF_SINE, 0.3), (HALF_SINE, 0.7),
+    (BETA_3_4_5, 0.5),
+], ids=lambda v: getattr(v, "name", v))
+def test_limit_info_max_rejects_what_the_rule_cannot_resolve(density, theta):
+    # for a diverging moment quad only warns (IntegrationWarning) and returns a number
+    with pytest.raises(ResolutionError):
+        limit_info_max(density, theta)
+
+
+def test_limit_info_max_resolves_a_kink_outside_the_range():
+    # above the kink the parabola tent is the polynomial 12 (1-x)^2
+    want = limit_info_max_quad(PARABOLA_TENT, 0.7)
+    assert limit_info_max(PARABOLA_TENT, 0.7) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_limit_info_max_near_one_is_finite_and_continuous():

@@ -221,7 +221,9 @@ def test_dense_csv_validation():
 
 
 @pytest.mark.parametrize("row", ["1,2,100000000000000000000", "1,2,4294967296", "1,x,5",
-                                 "1,2,1e3", "99999999999999999999,2,5"])
+                                 "1,2,1e3", "99999999999999999999,2,5",
+                                 # truth lines: a missing key, a pair without '=', a non-number
+                                 "# truth:a=1", "# truth:garbage", "# truth:i0=1,j0=x,eta=2"])
 def test_dense_csv_bad_numbers_name_their_line(row):
     with pytest.raises(ValueError, match="^line 3: "):
         read_dense_csv(io.StringIO(f"key,bin,count\n1,1,1\n{row}\n"), bins=10)
