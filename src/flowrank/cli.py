@@ -107,6 +107,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     method = _METHODS[args.method]
     if args.format == "dense" and args.metric != "syn":
         raise UsageError("dense input is already binned; --metric must stay at its default")
+    if args.format == "dense" and args.errors != "abort":
+        raise UsageError("dense input has no skip policy; --errors must stay at its default")
     _require_at_least(args, budget=1, rows=1, buckets=2, seed=0)
     cfg = _config(
         WindowConfig,
@@ -146,11 +148,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _require_at_least(args, seed=0)
-    ds = generate(_synth_config(args))
-    write_dense_csv(ds, args.output)
+    cfg = _synth_config(args)
+    batch = generate(cfg)
+    write_dense_csv(batch, cfg, args.output)
     _write_manifest(args.output, "simulate", _namespace_params(args))
-    print(f"wrote {int((ds.y > 0).sum())} nonzero cells to {args.output}")
+    print(f"wrote {int((batch.counts > 0).sum())} nonzero cells to {args.output}")
     return 0
 
 
@@ -166,7 +168,7 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _require_at_least(args, runs=1, dim=1, budget=1, top=1, rows=1, buckets=2, threads=1, seed=0)
+    _require_at_least(args, runs=1, dim=1, budget=1, top=1, rows=1, buckets=2, threads=1)
     methods = (
         [DetectionMethod.TOPRANK, DetectionMethod.HASHRANK, DetectionMethod.COMPREHENSIVE]
         if args.method == "all"

@@ -26,7 +26,7 @@ from . import hashrank, toprank
 from .hashrank import HashCoefficients, sample_coefficients
 from .model import DetectionMethod, WindowBatch, WindowConfig
 from .ranktest import Scores, statistic_batch
-from .synth import SynthConfig, generate, to_window_batch
+from .synth import SynthConfig, generate
 
 # 30 log-spaced thresholds spanning 1e-12..1 plus the zero endpoint
 DEFAULT_THRESHOLDS: tuple[float, ...] = (0.0, *(float(t) for t in np.logspace(-12.0, 0.0, 30)))
@@ -97,6 +97,8 @@ def roc(
         raise ValueError("runs must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     if cfg.dim < 1:
         raise ValueError("the protocol needs at least one key")
     thr = check_thresholds(thresholds)
@@ -109,8 +111,7 @@ def roc(
     anomaly_key = cfg.change_rank
 
     def one_run(r: int) -> tuple[np.ndarray, np.ndarray]:
-        batch = to_window_batch(generate(replace(cfg, seed=cfg.seed + r)))
-        scores = scorer(method, wcfg, budget, coeffs[r])(batch)
+        scores = scorer(method, wcfg, budget, coeffs[r])(generate(replace(cfg, seed=cfg.seed + r)))
         at = int(np.searchsorted(scores.keys, anomaly_key))
         det = (scores.p_alarm[at] < thr_arr).astype(np.float64)
         others = np.delete(scores.p_alarm, at)

@@ -51,8 +51,9 @@ class ToyDensity:
 
     Carries everything the estimators need in closed form: the density,
     its derivative and CDF, the score ratio p'/p, the first two central
-    moments, and a sampler. Built-ins are validated at construction
-    (unit mass, finite second moment of the score ratio).
+    moments, and a sampler. Nothing is checked at construction: the
+    fields must agree with one another; `tests/test_fisher.py` checks
+    the built-in's mass, mean, variance and score moment.
     """
 
     name: str
@@ -129,6 +130,8 @@ def limit_info_max(d: ToyDensity, theta: float) -> float:
     x^2 p'(x)^2 / p(x) in the second. Gauss-Legendre rules of 32 and 64
     nodes on [theta, 1], exact for a polynomial density such as Beta(3, 3),
     integrate those; ResolutionError if they differ by over 1e-10 relative.
+    The check cannot see a kink within about 1e-4 above theta: no node
+    of either rule falls between theta and such a kink.
     """
     _check_theta(theta)
     const = theta * float(d.score_ratio(theta))

@@ -10,6 +10,7 @@ directly controls detection difficulty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import IO, Callable, Optional, Union
@@ -62,40 +63,17 @@ class SynthConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.bins < 2:
             raise ValueError("bins must be at least 2")
-        if self.pareto_shape <= 1:
-            raise ValueError("pareto_shape must exceed 1 (finite mean)")
-        if self.pareto_scale <= 0:
-            raise ValueError("pareto_scale must be positive")
+        # each range test also rejects nan
+        if not 1 < self.pareto_shape < math.inf:
+            raise ValueError("pareto_shape must be finite and exceed 1 (finite mean)")
+        if not 0 < self.pareto_scale < math.inf:
+            raise ValueError("pareto_scale must be positive and finite")
         if self.dim > 0 and not 1 <= self.change_rank <= self.dim:
             raise ValueError("change_rank must be in 1..dim")
         if not 1 <= self.change_bin < self.bins:
             raise ValueError("change_bin must be in 1..bins-1")
-        if self.factor <= 0:
-            raise ValueError("factor must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class SyntheticDataset:
-    """A dim x bins count matrix with its ground truth.
-
-    Row i (0-based) belongs to key i+1 and was generated at intensity
-    `intensities[i]`, the i+1-th largest draw. `truth` is the
-    (changed key, last pre-change bin, factor) triple.
-    """
-
-    y: np.ndarray
-    intensities: np.ndarray
-    truth: tuple[int, int, float]
-
-    def __post_init__(self) -> None:
-        if self.y.ndim != 2:
-            raise ValueError("y must be a dim x bins matrix")
-        if self.intensities.shape != (self.y.shape[0],):
-            raise ValueError("one intensity per row required")
-        if np.any(self.intensities[:-1] < self.intensities[1:]):
-            raise ValueError("intensities must be nonincreasing")
-        self.y.setflags(write=False)
-        self.intensities.setflags(write=False)
+        if not 0 < self.factor < math.inf:
+            raise ValueError("factor must be positive and finite")
 
 
 def sample_pareto(
@@ -163,20 +141,24 @@ def _spawn_states(seed: int, n: int) -> np.ndarray:
     return np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(4)], axis=1)
 
 
-def generate(cfg: SynthConfig) -> SyntheticDataset:
-    """Draw one synthetic dataset, deterministic in the seed.
+def generate(cfg: SynthConfig) -> WindowBatch:
+    """Draw one synthetic window, deterministic in the seed.
+
+    The batch holds keys 1..dim, key i (row i-1) at the i-th largest
+    intensity. Unlike ingested batches, all-zero rows are kept: the
+    dataset's dimension is part of the experiment.
 
     Stream 0 of `SeedSequence(cfg.seed).spawn(cfg.dim + 1)` draws the
-    intensities and stream i the counts of key i (row i-1), so row
-    generation order never matters. The row streams are seeded in one
-    pass (`_spawn_states`, then PCG64's `srandom` rule) on one reused
+    intensities and stream i the counts of key i, so row generation
+    order never matters. The row streams are seeded in one pass
+    (`_spawn_states`, then PCG64's `srandom` rule) on one reused
     generator, and draw exactly what `default_rng` on each spawned
     child would.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     theta = np.sort(
         np.asarray(sample_pareto(rng.random(cfg.dim), cfg.pareto_shape, cfg.pareto_scale))
-    )[::-1].copy()
+    )[::-1]
     y = np.zeros((cfg.dim, cfg.bins), dtype=np.int64)
     bit_generator = rng.bit_generator
     states = _spawn_states(cfg.seed, cfg.dim).tolist()
@@ -196,34 +178,21 @@ def generate(cfg: SynthConfig) -> SyntheticDataset:
             y[i] = np.concatenate([before, after])
         else:
             y[i] = rng.poisson(rate, cfg.bins)
-    return SyntheticDataset(
-        y=y,
-        intensities=theta,
-        truth=(cfg.change_rank, cfg.change_bin, cfg.factor),
-    )
+    return WindowBatch(0, 0.0, np.arange(1, cfg.dim + 1), y)
 
 
-def to_window_batch(ds: SyntheticDataset) -> WindowBatch:
-    """Wrap the count matrix as a window batch with key = row rank.
-
-    Unlike ingested batches, all-zero rows are kept: the dataset's
-    dimension is part of the experiment.
-    """
-    return WindowBatch(0, 0.0, np.arange(1, ds.y.shape[0] + 1), ds.y)
-
-
-def write_dense_csv(ds: SyntheticDataset, target: Union[str, IO[str]]) -> None:
-    """Write the dataset as key,bin,count rows plus a truth comment line."""
+def write_dense_csv(batch: WindowBatch, cfg: SynthConfig, target: Union[str, IO[str]]) -> None:
+    """Write the batch's nonzero cells as key,bin,count rows after a
+    comment line with the truth of `cfg`, the config that generated it."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as fh:
-            write_dense_csv(ds, fh)
+            write_dense_csv(batch, cfg, fh)
         return
-    i0, j0, eta = ds.truth
-    target.write(f"# truth:i0={i0},j0={j0},eta={eta:g}\n")
+    target.write(f"# truth:i0={cfg.change_rank},j0={cfg.change_bin},eta={cfg.factor:g}\n")
     target.write(DENSE_HEADER + "\n")
-    rows, cols = np.nonzero(ds.y)
+    rows, cols = np.nonzero(batch.counts)
     for r, c in zip(rows, cols):
-        target.write(f"{r + 1},{c + 1},{ds.y[r, c]}\n")
+        target.write(f"{batch.keys[r]},{c + 1},{batch.counts[r, c]}\n")
 
 
 def read_dense_csv(

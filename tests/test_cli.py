@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from oracles import generate as oracle_generate
 
-from flowrank import cli
+from flowrank import cli, evaluate
 from flowrank.cli import main
 from flowrank.ingest import FLOW_HEADER
+from flowrank.synth import SynthConfig
 
 
 @pytest.fixture
@@ -141,8 +143,13 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
     def no_estimate(*args, **kwargs):
         raise AssertionError("a fisher option value must be checked before any estimate runs")
 
+    def no_generate(*args, **kwargs):
+        raise AssertionError("a synthetic option value must be checked before any data is drawn")
+
     monkeypatch.setattr(cli, "estimate_info_max", no_estimate)
     monkeypatch.setattr(cli, "estimate_info_sum", no_estimate)
+    monkeypatch.setattr(cli, "generate", no_generate)
+    monkeypatch.setattr(evaluate, "generate", no_generate)
     for argv in (
         ["detect", "--method", "bogus", "--input", "x"],
         ["detect", "--input", "x", "--threads", "2"],  # detect has no --threads
@@ -160,6 +167,15 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
         ["detect", "--delta", "inf"],
         ["simulate", "--bins", "1"],
         ["roc", "--factor", "0"],
+        # non-finite synthetic parameters
+        ["simulate", "--factor", "nan"],
+        ["roc", "--factor", "inf"],
+        ["simulate", "--pareto-shape", "nan"],
+        ["roc", "--pareto-shape", "inf"],
+        ["roc", "--pareto-scale", "nan"],
+        ["simulate", "--pareto-scale", "inf"],
+        # dense input is read whole: there is no skip policy
+        ["detect", "--format", "dense", "--errors", "skip"],
         # count options are checked before any input is read
         ["detect", "--budget", "0"],
         ["detect", "--method", "hashrank", "--rows", "0"],
@@ -193,6 +209,7 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
         io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
         assert main([*extra, *io_args, "--output", out]) == 1, extra
         assert "flowrank: error:" in capsys.readouterr().err
+    monkeypatch.undo()
     assert main(["simulate", "--dim", "0", "--output", out]) == 0  # an empty dataset
     # even when the input has no window to spend the budget on
     empty = tmp_path / "empty.csv"
@@ -289,6 +306,27 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("dim, bins, rank, at, factor, seed", [
+    (120, 16, 7, 9, 2.5, 8),
+    (0, 5, 1, 2, 7.0, 3),
+])
+def test_simulate_writes_the_oracle_counts(tmp_path, dim, bins, rank, at, factor, seed):
+    out = tmp_path / "synth.csv"
+    assert main(["simulate", "--output", str(out), "--dim", str(dim), "--bins", str(bins),
+                 "--target-rank", str(rank), "--change-at", str(at), "--factor", str(factor),
+                 "--seed", str(seed)]) == 0
+    cfg = SynthConfig(dim=dim, bins=bins, change_rank=rank, change_bin=at, factor=factor,
+                      seed=seed)
+    y = oracle_generate(cfg)[0]
+    lines = [f"# truth:i0={rank},j0={at},eta={factor:g}", "key,bin,count"]
+    for key in range(1, dim + 1):
+        for t in range(1, bins + 1):
+            if y[key - 1, t - 1]:
+                lines.append(f"{key},{t},{y[key - 1, t - 1]}")
+    assert len(lines) > 2 or dim == 0
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_roc_outputs_curves_and_reference(tmp_path):

@@ -6,7 +6,7 @@ from flowrank.evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_c
 from flowrank.hashrank import sample_coefficients
 from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
 from flowrank.ranktest import alarm_order, statistic_uncensored
-from flowrank.synth import SynthConfig, generate, to_window_batch
+from flowrank.synth import SynthConfig, generate
 from flowrank.toprank import score_window
 
 
@@ -19,7 +19,7 @@ def test_default_threshold_grid_shape():
 
 def test_comprehensive_tests_every_key():
     cfg = SynthConfig(dim=60, bins=40, change_rank=4, change_bin=20, factor=9.0, seed=5)
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     scores = score_comprehensive(batch)
     assert np.array_equal(scores.keys, batch.keys)
     at = alarm_order(scores, 1e-4)
@@ -160,6 +160,7 @@ def test_roc_rejects_thresholds_that_are_not_ascending_pvalues(thresholds, no_ru
         ("top_m", 0, "top_m"),
         ("l_rows", 0, "row"),
         ("k_buckets", 1, "buckets"),
+        ("budget", 0, "budget"),
     ],
 )
 def test_roc_rejects_bad_arguments_before_any_run(name, value, match, no_runs):
@@ -178,7 +179,7 @@ def test_roc_threshold_one_matches_direct_statistics():
     # whose raw series carries any usable evidence (p-value below 1)
     cfg = small_cfg(21)
     points = roc(cfg, DetectionMethod.COMPREHENSIVE, runs=1, thresholds=[1.0])
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     alive = [
         key
         for key, values in zip(batch.keys.tolist(), batch.counts)

@@ -17,7 +17,7 @@ from flowrank.hashrank import (
 )
 from flowrank.model import WindowBatch
 from flowrank.ranktest import alarm_order, statistic_uncensored
-from flowrank.synth import SynthConfig, generate, to_window_batch
+from flowrank.synth import SynthConfig, generate
 
 
 def make_batch(values_by_key, bins):
@@ -335,7 +335,7 @@ def test_invert_completeness_for_fully_flagged_key():
 @pytest.mark.parametrize("level_alpha", [1e-3, 0.05, 0.5, 1 - 1e-12])
 def test_alarm_set_matches_p_alarm_and_inversion(level_alpha):
     cfg = SynthConfig(dim=150, bins=30, change_rank=3, change_bin=15, factor=6.0, seed=12)
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     coeffs = sample_coefficients(41, 4, 7)
     scores = score_window(batch, coeffs)
     assert np.array_equal(scores.keys, batch.keys)
@@ -347,7 +347,7 @@ def test_alarm_set_matches_p_alarm_and_inversion(level_alpha):
 
 def test_run_window_alarms_injected_anomaly():
     cfg = SynthConfig(dim=200, bins=60, change_rank=5, change_bin=35, factor=10.0, seed=6)
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     coeffs = sample_coefficients(77, 8, 17)
     scores = score_window(batch, coeffs)
     at = alarm_order(scores, 1e-3)
@@ -379,7 +379,7 @@ def test_run_window_singleton_cells_match_raw_series():
 
 def test_run_window_reports_most_confident_cell():
     cfg = SynthConfig(dim=150, bins=60, change_rank=3, change_bin=30, factor=9.0, seed=8)
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     coeffs = sample_coefficients(55, 4, 11)
     scores = score_window(batch, coeffs)
     at = alarm_order(scores, 1e-2)

@@ -11,7 +11,6 @@ from flowrank.model import (
     WindowConfig,
 )
 from flowrank.ranktest import CensoredSeries, statistic
-from flowrank.synth import SynthConfig, generate
 from flowrank.toprank import top_filter
 
 
@@ -182,10 +181,9 @@ def _small_series():
     lambda: sample_coefficients(0, 2, 3),
     lambda: build_sketch(_small_batch(), sample_coefficients(0, 2, 3)),
     lambda: top_filter(_small_batch(), WindowConfig(bins_per_window=2)),
-    lambda: generate(SynthConfig(dim=3, bins=4, change_rank=2, change_bin=2, seed=5)),
     _small_series,
     lambda: statistic(_small_series()),
-], ids=["WindowBatch", "HashCoefficients", "SketchTable", "TopTable", "SyntheticDataset",
+], ids=["WindowBatch", "HashCoefficients", "SketchTable", "TopTable",
         "CensoredSeries", "TestOutcome"])
 def test_array_dataclasses_compare_by_identity(make):
     # an array field has no truth value, so a field-wise == or hash() would raise

@@ -12,7 +12,6 @@ from flowrank.synth import (
     generate,
     read_dense_csv,
     sample_pareto,
-    to_window_batch,
     write_dense_csv,
 )
 
@@ -43,53 +42,52 @@ def test_generate_deterministic_in_seed():
     cfg = SynthConfig(dim=50, bins=20, change_rank=5, change_bin=10, factor=3.0, seed=11)
     a = generate(cfg)
     b = generate(cfg)
-    assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.intensities, b.intensities)
+    assert np.array_equal(a.counts, b.counts)
     c = generate(SynthConfig(dim=50, bins=20, change_rank=5, change_bin=10, factor=3.0, seed=12))
-    assert not np.array_equal(a.y, c.y)
+    assert not np.array_equal(a.counts, c.counts)
 
 
+# the intensity tests read the oracle's intensities next to the package's
+# counts: `_assert_generate_matches_oracle` pins those counts to the oracle's
 def test_generate_intensities_sorted_descending():
-    ds = generate(SynthConfig(dim=200, bins=10, change_rank=1, change_bin=5, seed=0))
-    assert np.all(ds.intensities[:-1] >= ds.intensities[1:])
-    assert ds.truth == (1, 5, 7.0)
+    _, theta = oracle_generate(SynthConfig(dim=200, bins=10, change_rank=1, change_bin=5, seed=0))
+    assert np.all(theta[:-1] >= theta[1:])
 
 
 def test_generate_null_factor_changes_nothing_before_or_after():
     base = SynthConfig(dim=30, bins=24, change_rank=4, change_bin=12, factor=1.0, seed=3)
     boosted = SynthConfig(dim=30, bins=24, change_rank=4, change_bin=12, factor=6.0, seed=3)
-    a = generate(base)
-    b = generate(boosted)
+    a = generate(base).counts
+    b = generate(boosted).counts
     # same per-row substreams: every untouched row and the pre-change
     # segment of the changed row coincide
-    assert np.array_equal(np.delete(a.y, 3, axis=0), np.delete(b.y, 3, axis=0))
-    assert np.array_equal(a.y[3, :12], b.y[3, :12])
+    assert np.array_equal(np.delete(a, 3, axis=0), np.delete(b, 3, axis=0))
+    assert np.array_equal(a[3, :12], b[3, :12])
 
 
 def test_generate_row_means_track_intensities():
     cfg = SynthConfig(dim=300, bins=60, change_rank=300, change_bin=35, factor=1.0, seed=21)
-    ds = generate(cfg)
-    means = ds.y.mean(axis=1)
-    bound = 4.0 * np.sqrt(np.maximum(ds.intensities, 1e-9) / cfg.bins)
-    ok = np.abs(means - ds.intensities) <= np.maximum(bound, 0.2)
+    _, theta = oracle_generate(cfg)
+    means = generate(cfg).counts.mean(axis=1)
+    bound = 4.0 * np.sqrt(np.maximum(theta, 1e-9) / cfg.bins)
+    ok = np.abs(means - theta) <= np.maximum(bound, 0.2)
     assert ok.mean() > 0.95
 
 
 def test_generate_change_row_mean_scales():
     cfg = SynthConfig(dim=1000, bins=60, change_rank=500, change_bin=35, factor=7.0, seed=2)
-    ds = generate(cfg)
-    theta = ds.intensities[499]
-    post = ds.y[499, 35:]
+    theta = oracle_generate(cfg)[1][499]
+    post = generate(cfg).counts[499, 35:]
     assert post.mean() == pytest.approx(7.0 * theta, abs=4.0 * np.sqrt(7.0 * theta / post.size))
 
 
 def test_generate_intensity_quantiles_track_inverse_cdf():
     cfg = SynthConfig(dim=4000, bins=2, change_rank=1, change_bin=1, factor=1.0, seed=6)
-    ds = generate(cfg)
+    _, theta = oracle_generate(cfg)
     # sorted descending: rank r sits near the (1 - r/dim) quantile
     for rank, q in ((400, 0.9), (2000, 0.5)):
         expected = sample_pareto(q, cfg.pareto_shape, cfg.pareto_scale)
-        assert ds.intensities[rank - 1] == pytest.approx(expected, rel=0.15)
+        assert theta[rank - 1] == pytest.approx(expected, rel=0.15)
 
 
 def test_generate_validates_config():
@@ -103,13 +101,17 @@ def test_generate_validates_config():
         with pytest.raises(ValueError):
             SynthConfig(seed=seed)
     numpy_seed = SynthConfig(dim=40, change_rank=3, seed=np.uint64(2**63 + 1))
-    assert np.array_equal(generate(numpy_seed).y, oracle_generate(numpy_seed)[0])
+    assert np.array_equal(generate(numpy_seed).counts, oracle_generate(numpy_seed)[0])
     with pytest.raises(ValueError):
         SynthConfig(bins=10, change_bin=10)
     with pytest.raises(ValueError):
         SynthConfig(factor=0.0)
     with pytest.raises(ValueError):
         SynthConfig(pareto_shape=1.0)
+    for bad in (float("nan"), float("inf")):
+        for name in ("factor", "pareto_shape", "pareto_scale"):
+            with pytest.raises(ValueError, match=name):
+                SynthConfig(**{name: bad})
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 9, 10**40]
@@ -125,10 +127,9 @@ def test_spawn_states_match_seed_sequence(seed):
 
 
 def _assert_generate_matches_oracle(cfg):
-    ds = generate(cfg)
-    y, theta = oracle_generate(cfg)
-    assert ds.y.dtype == y.dtype and np.array_equal(ds.y, y)
-    assert np.array_equal(ds.intensities, theta)
+    counts = generate(cfg).counts
+    y, _ = oracle_generate(cfg)
+    assert counts.dtype == y.dtype and np.array_equal(counts, y)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -167,38 +168,36 @@ def test_generate_matches_oracle_on_random_configs(data):
     ))
 
 
-def test_to_window_batch_round_trip():
+def test_generate_batch_keys_are_ranks():
     cfg = SynthConfig(dim=25, bins=12, change_rank=2, change_bin=6, seed=9)
-    ds = generate(cfg)
-    batch = to_window_batch(ds)
-    assert batch.num_keys == 25
+    batch = generate(cfg)
+    assert (batch.window_index, batch.start_time) == (0, 0.0)
     assert np.array_equal(batch.keys, np.arange(1, 26))
-    assert np.array_equal(batch.counts, ds.y)
+    assert batch.bins == 12
+    # all-zero rows stay: the dimension is part of the experiment
+    assert not batch.counts.any(axis=1).all()
 
 
-def test_to_window_batch_empty():
-    ds = generate(SynthConfig(dim=0, bins=8, change_bin=4, seed=0))
-    batch = to_window_batch(ds)
+def test_generate_empty_batch():
+    batch = generate(SynthConfig(dim=0, bins=8, change_bin=4, seed=0))
     assert batch.num_keys == 0
     assert batch.bins == 8
 
 
 def test_dense_csv_round_trip():
     cfg = SynthConfig(dim=20, bins=10, change_rank=3, change_bin=5, factor=4.0, seed=13)
-    ds = generate(cfg)
+    batch = generate(cfg)
     buf = io.StringIO()
-    write_dense_csv(ds, buf)
+    write_dense_csv(batch, cfg, buf)
     text = buf.getvalue()
     assert text.startswith("# truth:i0=3,j0=5,eta=4\n")
     assert text.splitlines()[1] == "key,bin,count"
-    batch, truth = read_dense_csv(io.StringIO(text), bins=10)
+    read, truth = read_dense_csv(io.StringIO(text), bins=10)
     assert truth == {"i0": 3, "j0": 5, "eta": 4.0}
-    for key, values in zip(batch.keys.tolist(), batch.counts):
-        assert np.array_equal(values, ds.y[key - 1])
     # keys absent from the file are the all-zero rows
-    missing = set(range(1, 21)) - set(batch.keys.tolist())
-    for key in missing:
-        assert not ds.y[key - 1].any()
+    alive = batch.counts.any(axis=1)
+    assert np.array_equal(read.keys, batch.keys[alive])
+    assert np.array_equal(read.counts, batch.counts[alive])
 
 
 def test_dense_csv_sums_duplicate_lines_and_drops_zero_keys():

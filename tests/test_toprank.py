@@ -13,7 +13,7 @@ from flowrank.ranktest import (
     statistic_batch,
     statistic_uncensored,
 )
-from flowrank.synth import SynthConfig, generate, to_window_batch
+from flowrank.synth import SynthConfig, generate
 from flowrank.toprank import (
     TopTable,
     candidates,
@@ -198,7 +198,7 @@ def test_strict_bin_maximum_is_always_a_candidate():
 
 def test_run_window_detects_injected_jump():
     cfg = SynthConfig(dim=100, bins=60, change_rank=10, change_bin=35, factor=8.0, seed=4)
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     wcfg = WindowConfig(bins_per_window=60, top_m=10, keep_mprime=1, level_alpha=1e-4)
     scores = score_window(batch, wcfg)
     at = alarm_order(scores, wcfg.level_alpha)
@@ -217,7 +217,7 @@ def test_run_window_constant_traffic_never_alarms():
 
 def test_run_window_budget_counts_tested_series():
     cfg = SynthConfig(dim=500, bins=60, change_rank=50, change_bin=35, factor=5.0, seed=2)
-    batch = to_window_batch(generate(cfg))
+    batch = generate(cfg)
     wcfg = WindowConfig(bins_per_window=60, top_m=50, keep_mprime=1, level_alpha=1e-3)
     table = top_filter(batch, wcfg)
     assert len(candidates_budget(table, 136)) == 136
