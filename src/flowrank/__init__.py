@@ -23,7 +23,6 @@ from .ranktest import (
     score_pair,
     statistic,
     statistic_batch,
-    statistic_uncensored,
 )
 
 __version__ = "0.1.0"
@@ -41,6 +40,5 @@ __all__ = [
     "score_pair",
     "statistic",
     "statistic_batch",
-    "statistic_uncensored",
     "__version__",
 ]

@@ -5,7 +5,10 @@ dense) CSV, `simulate` writes a synthetic dataset, `roc` runs the Monte
 Carlo ROC protocol, `fisher` runs the information study. Every command
 writes machine-readable CSV plus a JSON manifest capturing the full
 parameter set, so re-running a manifest reproduces the output byte for
-byte. Exit codes: 0 success, 1 usage error, 2 data error.
+byte. Exit codes: 0 success, 1 usage error, 2 data error. Only `detect`
+reads an input file, so a value that `simulate`, `roc` or `fisher`
+rejects is always a bad option value (exit 1); an output that cannot be
+written is a data error (exit 2) under every command.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from . import __version__
-from .evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, scorer
-from .fisher import BUILTIN_DENSITIES, MIN_GRID, _check_theta, estimate_info_max, estimate_info_sum
+from .evaluate import DEFAULT_THRESHOLDS, roc, scorer
+from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError, _check_theta
+from .fisher import estimate_info_max, estimate_info_sum
 from .hashrank import sample_coefficients
-from .ingest import ParseError, read_flow_csv, split_windows
+from .ingest import read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig
 from .ranktest import alarm_order
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
@@ -63,14 +67,6 @@ def _write_table(args: argparse.Namespace, header: str, lines: list, what: str, 
     return 0
 
 
-def _config(factory, **params):
-    """`factory(**params)`; a rejected parameter value is a usage error."""
-    try:
-        return factory(**params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _require_at_least(args: argparse.Namespace, **minimum: int) -> None:
     """A count option below its minimum is a usage error, found before any input is read."""
     for name, least in minimum.items():
@@ -80,8 +76,7 @@ def _require_at_least(args: argparse.Namespace, **minimum: int) -> None:
 
 
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
-    return _config(
-        SynthConfig,
+    return SynthConfig(
         dim=args.dim,
         bins=args.bins,
         pareto_shape=args.pareto_shape,
@@ -110,17 +105,19 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.format == "dense" and args.errors != "abort":
         raise UsageError("dense input has no skip policy; --errors must stay at its default")
     _require_at_least(args, budget=1, rows=1, buckets=2, seed=0)
-    cfg = _config(
-        WindowConfig,
-        delta=args.delta,
-        bins_per_window=args.window,
-        top_m=args.top,
-        keep_mprime=args.keep,
-        level_alpha=args.alpha,
-        metric=_METRICS[args.metric],
-    )
+    try:
+        cfg = WindowConfig(
+            delta=args.delta,
+            bins_per_window=args.window,
+            top_m=args.top,
+            keep_mprime=args.keep,
+            level_alpha=args.alpha,
+            metric=_METRICS[args.metric],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "dense":
-        batch, _truth = read_dense_csv(args.input, bins=args.window)
+        batch, _truth = read_dense_csv(args.input, args.window)
         batches = [batch]
     else:
         if args.errors == "abort":
@@ -168,7 +165,6 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _require_at_least(args, runs=1, dim=1, budget=1, top=1, rows=1, buckets=2, threads=1)
     methods = (
         [DetectionMethod.TOPRANK, DetectionMethod.HASHRANK, DetectionMethod.COMPREHENSIVE]
         if args.method == "all"
@@ -179,10 +175,6 @@ def cmd_roc(args: argparse.Namespace) -> int:
         if args.thresholds
         else DEFAULT_THRESHOLDS
     )
-    try:
-        thresholds = check_thresholds(thresholds)
-    except ValueError:
-        raise UsageError("--thresholds must be ascending p-values in [0, 1]") from None
     cfg = _synth_config(args)
     lines = []
     for method in methods:
@@ -215,7 +207,7 @@ def cmd_fisher(args: argparse.Namespace) -> int:
             f"unknown density {args.density!r}; built-ins: {sorted(BUILTIN_DENSITIES)}"
         )
     _require_at_least(args, mc=2, seed=0)
-    _config(_check_theta, theta=args.theta)
+    _check_theta(args.theta)
     if args.grid < MIN_GRID or args.grid & (args.grid - 1):
         raise UsageError(f"--grid must be a power of two of at least {MIN_GRID}")
     dtheta = args.dtheta_frac * args.theta
@@ -311,14 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # `detect` alone reads input; any other value error is a bad option value
+    usage = (UsageError,) if args.command == "detect" else (UsageError, ValueError, ResolutionError)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except usage as exc:
         print(f"flowrank: error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"flowrank: data error: {exc}", file=sys.stderr)
         return 2
 

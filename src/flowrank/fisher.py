@@ -77,29 +77,22 @@ class FisherEstimate:
 
 def _beta33_pdf(x: ArrayLike) -> ArrayLike:
     x = np.asarray(x, dtype=np.float64)
-    inside = (x >= 0.0) & (x <= 1.0)
-    out = np.where(inside, 30.0 * x * x * (1.0 - x) * (1.0 - x), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.where((x >= 0.0) & (x <= 1.0), 30.0 * x * x * (1.0 - x) * (1.0 - x), 0.0)
 
 
 def _beta33_pdf_deriv(x: ArrayLike) -> ArrayLike:
     x = np.asarray(x, dtype=np.float64)
-    inside = (x >= 0.0) & (x <= 1.0)
-    out = np.where(inside, 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.where((x >= 0.0) & (x <= 1.0), 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x), 0.0)
 
 
 def _beta33_cdf(x: ArrayLike) -> ArrayLike:
-    x = np.asarray(x, dtype=np.float64)
-    xc = np.clip(x, 0.0, 1.0)
-    out = 10.0 * xc**3 - 15.0 * xc**4 + 6.0 * xc**5
-    return float(out) if out.ndim == 0 else out
+    xc = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    return 10.0 * xc**3 - 15.0 * xc**4 + 6.0 * xc**5
 
 
 def _beta33_score_ratio(x: ArrayLike) -> ArrayLike:
     x = np.asarray(x, dtype=np.float64)
-    out = 2.0 / x - 2.0 / (1.0 - x)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 / x - 2.0 / (1.0 - x)
 
 
 BUILTIN_DENSITIES: dict[str, ToyDensity] = {

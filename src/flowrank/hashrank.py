@@ -11,9 +11,9 @@ cell containing it is flagged in every row. The L hashes are one
 
 The sketch (`SketchTable`) keeps the window's ascending keys and their
 0-based buckets (L x N): key n sits in cell `l * K + buckets[l, n]` of
-the row-major cell order. `cell_outcomes` tests all L x K cells in one
-`statistic_batch` call, `score_window` reads every key's L cells back
-from the bucket array, and `invert` is the same decision in set algebra.
+the row-major cell order. `score_window` tests all L x K cells in one
+`statistic_batch` call and reads every key's L cells back from the
+bucket array; `invert` is the same decision in set algebra.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import WindowBatch
-from .ranktest import BatchOutcome, Scores, statistic_batch
+from .ranktest import Scores, statistic_batch
 
 MERSENNE_PRIME = (1 << 61) - 1
 
@@ -166,11 +166,6 @@ def build_sketch(batch: WindowBatch, coeffs: HashCoefficients) -> SketchTable:
     return SketchTable(series=series, keys=batch.keys, buckets=buckets)
 
 
-def cell_outcomes(table: SketchTable) -> BatchOutcome:
-    """Rank-test every cell series; cell (row l, bucket k), 1-based, is at (l-1)*K + k-1."""
-    return statistic_batch(table.series.reshape(-1, table.series.shape[2]))
-
-
 def invert(table: SketchTable, cells: Iterable[tuple[int, int]]) -> frozenset[int]:
     """Keys whose cell is flagged in every row.
 
@@ -195,7 +190,7 @@ def score_window(batch: WindowBatch, coeffs: HashCoefficients) -> Scores:
     ties), the most confident evidence for that key.
     """
     table = build_sketch(batch, coeffs)
-    out = cell_outcomes(table)
+    out = statistic_batch(table.series.reshape(-1, table.series.shape[2]))
     cells = table.buckets + table.k_buckets * np.arange(table.l_rows)[:, None]
     p_value = out.p_value[cells]
     best = cells[p_value.argmin(axis=0), np.arange(table.keys.size)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -215,16 +215,6 @@ def statistic(series: CensoredSeries) -> TestOutcome:
     u.setflags(write=False)
     path.setflags(write=False)
     return TestOutcome(w_stat, pvalue(w_stat), int(change_bin[0]), path, u, bool(degenerate[0]))
-
-
-def statistic_uncensored(values: Sequence[float] | np.ndarray) -> TestOutcome:
-    """Run the rank test with every bin treated as observed.
-
-    Identical to `statistic` on a series whose flags are all set; the
-    pairwise score reduces to a plain sign comparison.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    return statistic(CensoredSeries(key=0, x=x, observed=np.ones(x.shape, dtype=bool)))
 
 
 def alarm_order(scores: Scores, level_alpha: float) -> np.ndarray:

@@ -196,19 +196,17 @@ def write_dense_csv(batch: WindowBatch, cfg: SynthConfig, target: Union[str, IO[
 
 
 def read_dense_csv(
-    source: Union[str, IO[str]],
-    bins: Optional[int] = None,
+    source: Union[str, IO[str]], bins: int
 ) -> tuple[WindowBatch, Optional[dict[str, float]]]:
-    """Read a dense key,bin,count CSV back into a window batch.
+    """Read a dense key,bin,count CSV back into a window batch of `bins` bins.
 
     Returns the batch and the truth annotation when present. Keys with
     only zero counts in the file are dropped (they should not appear in
-    a dense file anyway). With `bins` unset the bin count is inferred
-    from the largest bin index.
+    a dense file anyway).
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            return read_dense_csv(fh, bins=bins)
+            return read_dense_csv(fh, bins)
     truth: Optional[dict[str, float]] = None
     cells: list[tuple[int, int, int]] = []
     header_seen = False
@@ -246,12 +244,10 @@ def read_dense_csv(
     if not header_seen:
         raise ValueError("missing header")
     key, bin_index, count = np.array(cells, dtype=np.int64).reshape(-1, 3).T
-    max_bin = int(bin_index.max()) if cells else 2
-    n_bins = bins if bins is not None else max(max_bin, 2)
-    if max_bin > n_bins:
-        raise ValueError(f"bin index {max_bin} exceeds configured {n_bins} bins")
+    if cells and bin_index.max() > bins:
+        raise ValueError(f"bin index {bin_index.max()} exceeds configured {bins} bins")
     keys, row = np.unique(key, return_inverse=True)
-    counts = np.zeros((keys.size, n_bins), dtype=np.int64)
+    counts = np.zeros((keys.size, bins), dtype=np.int64)
     np.add.at(counts, (row, bin_index - 1), count)
     alive = counts.any(axis=1)
     return WindowBatch(0, 0.0, keys[alive], counts[alive]), truth

@@ -1,9 +1,16 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import generate as oracle_generate
 
-from flowrank import cli, evaluate
+import flowrank
+from flowrank import cli, evaluate, ingest
 from flowrank.cli import main
 from flowrank.ingest import FLOW_HEADER
 from flowrank.synth import SynthConfig
@@ -231,6 +238,36 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
     assert main(["detect", "--input", str(flow_csv), "--output", out, "--delta", "1e-9", "--window", "2"]) == 0
 
 
+# valid options whose values fail deep inside a draw or a quadrature
+VALUE_FAULTS = {
+    "simulate": ["--dim", "50", "--target-rank", "5", "--factor", "1e300"],
+    "roc": ["--runs", "1", "--dim", "50", "--target-rank", "5", "--pareto-scale", "1e-300"],
+    "fisher": ["--dims", "2", "--theta", "1e-9", "--grid", "16384", "--mc", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALUE_FAULTS))
+def test_value_fault_without_input_is_a_usage_error(tmp_path, capsys, command):
+    # only detect reads input, so whatever simulate, roc or fisher rejects is an option value
+    argv = [command, *VALUE_FAULTS[command]]
+    path = [str(Path(flowrank.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name in ("in_process", "warnings_as_errors"):
+        out = tmp_path / name / "out.csv"
+        out.parent.mkdir()
+        if name == "in_process":
+            code, err = main([*argv, "--output", str(out)]), capsys.readouterr().err
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "flowrank.cli", *argv, "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            code, err = proc.returncode, proc.stderr
+        assert code == 1, err
+        assert len(err.splitlines()) == 1 and err.startswith("flowrank: error: "), err
+        assert list(out.parent.iterdir()) == []
+
+
 SMALL_RUNS = {
     "detect": ["--alpha", "0.5"],
     "roc": ["--runs", "1", "--dim", "30", "--bins", "12", "--change-at", "6",
@@ -266,6 +303,57 @@ def test_rerun_overwrites_longer_outputs(flow_csv, tmp_path, command, capsys):
     capsys.readouterr()
     assert main([*argv, "--output", str(tmp_path / "missing" / "out.csv")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_window_csv(tmp_path):
+    """Two 60 s windows: a SYN surge to 200 in the first, a scanning source 77
+    in the second, and one malformed line of each kind the skip policy counts."""
+    rng = np.random.default_rng(3)
+    lines = []
+    for _ in range(400):
+        t = round(float(rng.uniform(0, 120)), 3)
+        src, dst = int(rng.integers(50, 60)), int(rng.integers(100, 108))
+        lines.append(f"{t},{t + 0.1},{src},{dst},1234,80,TCP,4,{int(rng.integers(0, 3))},0,1,0")
+    for i in range(90):
+        t = 40 + i % 20 + 0.5
+        lines.append(f"{t},{t + 0.1},{60 + i % 9},200,1234,80,TCP,20,15,1,1,0")
+        t += 60
+        lines.append(f"{t},{t + 0.1},77,{300 + i},1234,80,TCP,1,1,0,0,0")
+    lines += [
+        "5.0,5.1,51,101,1234,80,TCP,4,1,0,1",  # field count
+        "6.0,6.1,51,101,1234,80,TCP,4x,1,0,1,0",  # number
+        "7.0,7.1,51,101,1234,80,ICMP,4,1,0,1,0",  # protocol
+        "8.0,8.1,51,101,1234,80,TCP,1,1,0,1,0",  # flags
+    ]
+    path = tmp_path / "two_windows.csv"
+    path.write_text("\n".join([FLOW_HEADER] + lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("metric", ["syn", "netscan"])
+@pytest.mark.parametrize("method", ["toprank", "hashrank", "full"])
+def test_detect_ignores_line_order_and_chunk_size(two_window_csv, tmp_path, capsys, monkeypatch,
+                                                  metric, method):
+    def detect(source):
+        out = tmp_path / "alarms.csv"
+        argv = ["detect", "--input", str(source), "--output", str(out), "--metric", metric,
+                "--method", method, "--alpha", "0.5", "--keep", "3", "--errors", "skip"]
+        assert main(argv) == 0
+        return out.read_bytes(), capsys.readouterr().err
+
+    want = detect(two_window_csv)
+    assert {row.split(b",")[0] for row in want[0].splitlines()[1:]} == {b"0", b"1"}
+    assert want[1] == ("flowrank: skipped 4 bad lines "
+                       "(field count 1, flags 1, number 1, protocol 1)\n")
+    header, *data = two_window_csv.read_text().splitlines()
+    random.Random(5).shuffle(data)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + data) + "\n")
+    assert detect(shuffled) == want
+    for chunk in (1, 3, 64):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk)
+        assert detect(two_window_csv) == want, chunk
 
 
 def test_detect_window_without_metric_records_writes_header_only(tmp_path):

@@ -5,7 +5,7 @@ from flowrank import evaluate, hashrank, toprank
 from flowrank.evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive, scorer
 from flowrank.hashrank import sample_coefficients
 from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
-from flowrank.ranktest import alarm_order, statistic_uncensored
+from flowrank.ranktest import alarm_order, statistic_batch
 from flowrank.synth import SynthConfig, generate
 from flowrank.toprank import score_window
 
@@ -25,8 +25,9 @@ def test_comprehensive_tests_every_key():
     at = alarm_order(scores, 1e-4)
     assert 4 in scores.keys[at]
     for i in range(batch.num_keys):
-        out = statistic_uncensored(batch.counts[i])
-        assert scores.p_report[i] == scores.p_alarm[i] == out.p_value
+        # one row at a time, not the window's whole block
+        p_value = statistic_batch(batch.counts[i:i + 1]).p_value[0]
+        assert scores.p_report[i] == scores.p_alarm[i] == p_value
 
 
 def test_comprehensive_of_empty_window():
@@ -42,7 +43,7 @@ def test_comprehensive_single_key_matches_detect():
     batch = WindowBatch(0, 0.0, [1], [values])
     scores = score_comprehensive(batch)
     assert alarm_order(scores, 1e-3).tolist() == [0]
-    assert scores.p_report[0] == statistic_uncensored(values).p_value
+    assert scores.p_report[0] == statistic_batch(values[None]).p_value[0]
 
 
 def test_comprehensive_contains_uncensored_toprank_alarms():
@@ -183,7 +184,7 @@ def test_roc_threshold_one_matches_direct_statistics():
     alive = [
         key
         for key, values in zip(batch.keys.tolist(), batch.counts)
-        if key != cfg.change_rank and statistic_uncensored(values).p_value < 1.0
+        if key != cfg.change_rank and statistic_batch(values[None]).p_value[0] < 1.0
     ]
     assert points[0].fa_rate == pytest.approx(len(alive) / (cfg.dim - 1))
     assert points[0].det_rate == 1.0

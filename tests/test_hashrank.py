@@ -9,14 +9,13 @@ from flowrank.hashrank import (
     HashCoefficients,
     SketchTable,
     build_sketch,
-    cell_outcomes,
     hash_buckets,
     invert,
     sample_coefficients,
     score_window,
 )
 from flowrank.model import WindowBatch
-from flowrank.ranktest import alarm_order, statistic_uncensored
+from flowrank.ranktest import alarm_order, statistic_batch
 from flowrank.synth import SynthConfig, generate
 
 
@@ -204,7 +203,12 @@ def test_sketch_of_empty_window():
     assert alarm_order(scores, 0.5).size == 0
 
 
-# --- cell_outcomes / invert ----------------------------------------------
+# --- cell tests / invert -------------------------------------------------
+
+
+def cell_outcomes(table):
+    """Rank tests of every cell; cell (row l, bucket k), 1-based, is at (l-1)*K + k-1."""
+    return statistic_batch(table.series.reshape(-1, table.series.shape[2]))
 
 
 def flagged_cells(table, level_alpha):
@@ -243,15 +247,15 @@ def test_detect_cells_threshold_near_one_flags_everything_alive():
     assert outcomes.p_value.shape == (3 * 7,)
     for row in range(3):
         for bucket in range(7):
-            one = statistic_uncensored(table.series[row, bucket])
+            one = statistic_batch(table.series[row, bucket][None])
             i = row * 7 + bucket
-            assert (outcomes.p_value[i], outcomes.degenerate[i]) == (one.p_value, one.degenerate)
+            assert (outcomes.p_value[i], outcomes.degenerate[i]) == (one.p_value[0], one.degenerate[0])
     flagged = flagged_cells(table, 1 - 1e-12)
     alive = {
         (row + 1, bucket + 1)
         for row in range(3)
         for bucket in range(7)
-        if not statistic_uncensored(table.series[row, bucket]).degenerate
+        if not statistic_batch(table.series[row, bucket][None]).degenerate[0]
     }
     assert flagged <= alive
     # a live cell escapes only when its statistic is below 0.2 (p == 1)
@@ -372,9 +376,9 @@ def test_run_window_singleton_cells_match_raw_series():
     scores = score_window(batch, coeffs)
     at = alarm_order(scores, 1e-3)
     assert scores.keys[at].tolist() == [2]
-    raw = statistic_uncensored(rows[2])
-    assert scores.p_report[at[0]] == raw.p_value
-    assert scores.change_bin[at[0]] == raw.change_bin
+    raw = statistic_batch(rows[2][None])
+    assert scores.p_report[at[0]] == raw.p_value[0]
+    assert scores.change_bin[at[0]] == raw.change_bin[0]
 
 
 def test_run_window_reports_most_confident_cell():

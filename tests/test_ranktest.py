@@ -17,11 +17,15 @@ from flowrank.ranktest import (
     score_pair,
     statistic,
     statistic_batch,
-    statistic_uncensored,
 )
 
 from oracles import alarm_order as tuple_alarm_order
 from oracles import bridge_tail, brute_statistic, cube_statistic
+
+
+def all_observed(x):
+    """`statistic` on a series whose every bin is observed."""
+    return statistic(CensoredSeries(0, x, np.ones(len(x), dtype=bool)))
 
 
 def random_censored(rng, n):
@@ -87,7 +91,7 @@ def test_statistic_constant_series_degenerate():
 @pytest.mark.parametrize("n", [2, 5, 9, 60])
 def test_statistic_strictly_increasing_matches_brute(n):
     x = list(range(1, n + 1))
-    out = statistic_uncensored(x)
+    out = all_observed(x)
     ref = brute_statistic(x, [True] * n)
     # the per-bin score sums of a strictly increasing observed series
     assert ref["u"] == [2 * s - 1 - n for s in range(1, n + 1)]
@@ -126,7 +130,7 @@ def test_statistic_matches_bruteforce_on_random_series():
         uncensored = statistic_batch(x)
         assert uncensored.p_value.tolist() == [pvalue(b) for b in uncensored.w_stat.tolist()]
         for i in range(rows):
-            out = statistic_uncensored(x[i])
+            out = all_observed(x[i])
             assert out.w_stat == uncensored.w_stat[i]
             assert out.p_value == uncensored.p_value[i]
             assert out.change_bin == uncensored.change_bin[i]
@@ -190,16 +194,16 @@ def test_nonfinite_values_rejected(bad):
     with pytest.raises(ValueError):
         statistic_batch(x)
     with pytest.raises(ValueError):
-        statistic_uncensored([1.0, bad, 2.0])
+        statistic_batch([[1.0, bad, 2.0]])
 
 
 def test_statistic_rejects_single_bin():
     with pytest.raises(ValueError):
-        statistic_uncensored([3.0])
+        statistic_batch([[3.0]])
 
 
 def test_two_point_uncensored():
-    out = statistic_uncensored([1, 2])
+    out = all_observed([1, 2])
     assert list(out.s_path) == [-1 / math.sqrt(2), 0.0]
     assert out.w_stat == 1 / math.sqrt(2)
     assert out.change_bin == 1
@@ -209,17 +213,16 @@ def test_uncensored_equals_all_observed_flags():
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = rng.integers(0, 20, 15)
-        a = statistic_uncensored(x)
+        a = statistic_batch(x[None])
         b = statistic(CensoredSeries(1, x, np.ones(15, dtype=bool)))
-        assert a.w_stat == b.w_stat
-        assert a.change_bin == b.change_bin
-        assert np.array_equal(a.s_path, b.s_path)
+        assert a.w_stat[0] == b.w_stat and a.p_value[0] == b.p_value
+        assert a.change_bin[0] == b.change_bin and a.degenerate[0] == b.degenerate
 
 
 @settings(max_examples=60)
 @given(arrays(np.int64, st.integers(2, 20), elements=st.integers(0, 30)))
 def test_terminal_path_value_is_zero(x):
-    out = statistic_uncensored(x)
+    out = all_observed(x)
     assert out.s_path[-1] == 0.0
 
 

@@ -202,7 +202,7 @@ def test_dense_csv_round_trip():
 
 def test_dense_csv_sums_duplicate_lines_and_drops_zero_keys():
     text = "key,bin,count\n7,2,3\n-4,1,0\n7,2,5\n2,3,1\n7,1,1\n9,1,0\n-4,3,0\n"
-    batch, truth = read_dense_csv(io.StringIO(text))
+    batch, truth = read_dense_csv(io.StringIO(text), bins=3)
     assert truth is None and batch.bins == 3
     assert batch.keys.tolist() == [2, 7]
     assert batch.counts.tolist() == [[0, 0, 1], [1, 8, 0]]
@@ -212,9 +212,9 @@ def test_dense_csv_sums_duplicate_lines_and_drops_zero_keys():
 
 def test_dense_csv_validation():
     with pytest.raises(ValueError):
-        read_dense_csv(io.StringIO("bad header\n"))
+        read_dense_csv(io.StringIO("bad header\n"), bins=10)
     with pytest.raises(ValueError):
-        read_dense_csv(io.StringIO("key,bin,count\n1,0,5\n"))
+        read_dense_csv(io.StringIO("key,bin,count\n1,0,5\n"), bins=10)
     with pytest.raises(ValueError):
         read_dense_csv(io.StringIO("key,bin,count\n1,12,5\n"), bins=10)
 

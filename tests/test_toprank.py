@@ -11,7 +11,6 @@ from flowrank.ranktest import (
     alarm_order,
     statistic,
     statistic_batch,
-    statistic_uncensored,
 )
 from flowrank.synth import SynthConfig, generate
 from flowrank.toprank import (
@@ -119,8 +118,8 @@ def test_censor_fully_selected_key_is_uncensored():
     assert observed.all()
     assert np.array_equal(x, [values])
     full = statistic(CensoredSeries(1, x[0], observed[0]))
-    raw = statistic_uncensored(values)
-    assert full.w_stat == raw.w_stat and full.change_bin == raw.change_bin
+    raw = statistic_batch(values[None])
+    assert full.w_stat == raw.w_stat[0] and full.change_bin == raw.change_bin[0]
 
 
 def test_censor_never_selected_key_is_all_bounds():
