@@ -10,7 +10,6 @@ of the two reductions round out the package.
 
 from .model import (
     DetectionMethod,
-    FlowRecord,
     MetricKind,
     Protocol,
     WindowBatch,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CensoredSeries",
     "DetectionMethod",
-    "FlowRecord",
     "MetricKind",
     "Protocol",
     "TestOutcome",

@@ -162,6 +162,7 @@ def build_sketch(batch: WindowBatch, coeffs: HashCoefficients) -> SketchTable:
         order = np.argsort(bucket, kind="stable")
         ordered = bucket[order]
         starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        # part of a bin's column total: below 2^63 in a flow or dense window (see their readers)
         series[row, ordered[starts]] = np.add.reduceat(batch.counts[order], starts, axis=0)
     return SketchTable(series=series, keys=batch.keys, buckets=buckets)
 

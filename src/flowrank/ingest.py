@@ -18,10 +18,12 @@ it, and the chunk counts as canonical if that call neither fails nor
 warns of a deprecated integer parse, and returns one row per line.
 Otherwise each line is screened on its own, and the lines in canonical
 form (ASCII digits, unsigned integers) are converted by one `np.loadtxt`
-call. Either way the converted rows are validated by vector checks.
-Every other line, and every row a vector check rejects, goes through
-`parse_record`, the per-line reference: it either accepts the line with
-the same values or raises the `ParseError` that names it.
+call. Either way the converted rows are checked against `_RULES`, the
+record rules in the order a line is checked. Every other nonblank line,
+and every row a rule rejects, is split by Python `float()` and `int()`
+and checked against the same rules: it is either accepted with the same
+values or rejected with the `ParseError` that names its line and the
+first rule it breaks.
 """
 
 from __future__ import annotations
@@ -31,21 +33,11 @@ import re
 import warnings
 from collections import Counter
 from itertools import islice
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .model import (
-    COUNTERS,
-    METRIC_FIELDS,
-    U16_MAX,
-    U32_MAX,
-    FlowRecord,
-    Protocol,
-    RecordError,
-    WindowBatch,
-    WindowConfig,
-)
+from .model import COUNTERS, METRIC_FIELDS, U16_MAX, U32_MAX, Protocol, WindowBatch, WindowConfig
 
 
 class FlowColumns(NamedTuple):
@@ -68,24 +60,19 @@ class FlowColumns(NamedTuple):
     fin: np.ndarray
     rst: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> FlowColumns:
-        """The columns of `records`, in order."""
-        recs = list(records)
-        cols = {name: [getattr(rec, name) for rec in recs] for name in FLOW_COLUMNS}
-        cols["proto"] = [PROTOCOLS.index(p) for p in cols["proto"]]
-        return cls(**{name: np.array(col, dtype=_dtype(name)) for name, col in cols.items()})
-
     def take(self, index: np.ndarray) -> FlowColumns:
         """The rows at `index` (an index array or boolean mask)."""
         return FlowColumns(*(col[index] for col in self))
 
 
-# the CSV field order, which every reader and `FlowRecord` share
+# the CSV field order, which every reader shares
 FLOW_COLUMNS = FlowColumns._fields
 FLOW_HEADER = ",".join(FLOW_COLUMNS)
 
 PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
+_PROTOCOL_CODES = {p.value: code for code, p in enumerate(PROTOCOLS)}
+_TCP = _PROTOCOL_CODES["TCP"]
+_PROTO = FLOW_COLUMNS.index("proto")
 CHUNK_LINES = 1 << 16
 TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
 
@@ -106,7 +93,7 @@ _CHUNK = re.compile(rf"(?:{_RECORD_CHARS}+\n)*{_RECORD_CHARS}+\n?")
 # The per-line screen. Canonical lines are those np.loadtxt reads exactly
 # as float()/int() do: ASCII digits only (no signs, spaces or underscores
 # on integers), and at most 10 integer digits, so int64 holds every value
-# the range checks see.
+# the range rules see.
 _FLOAT = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,3})?"
 _UINT = r"[0-9]{1,10}"
 _CANONICAL = re.compile(
@@ -127,10 +114,60 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+class _Rule(NamedTuple):
+    reason: str
+    broken: Callable[[FlowColumns], np.ndarray]  # the rows that break the rule
+    message: str  # formatted with the line's values by field name, and `flags`
+
+
+def _outside(name: str, hi: int) -> Callable[[FlowColumns], np.ndarray]:
+    return lambda c: (getattr(c, name) < 0) | (getattr(c, name) > hi)
+
+
+# The record rules, in the order a line is checked. The checks take typed
+# columns or object columns of Python numbers alike; NaN fails a bound.
+_RULES = (
+    _Rule("timestamp", lambda c: ~(np.abs(c.ts_start) < TS_LIMIT),
+          "timestamp {ts_start} is not finite or beyond 2^32 s"),
+    _Rule("timestamp", lambda c: ~(np.abs(c.ts_end) < TS_LIMIT),
+          "timestamp {ts_end} is not finite or beyond 2^32 s"),
+    _Rule("protocol", lambda c: c.proto < 0, "unknown protocol {proto!r}"),
+    _Rule("timestamp", lambda c: c.ts_end < c.ts_start,
+          "flow ends before it starts ({ts_end} < {ts_start})"),
+    _Rule("range", _outside("src_ip", U32_MAX), "src_ip={src_ip} outside 32-bit range"),
+    _Rule("range", _outside("dst_ip", U32_MAX), "dst_ip={dst_ip} outside 32-bit range"),
+    _Rule("range", _outside("src_port", U16_MAX), "src_port={src_port} outside 16-bit range"),
+    _Rule("range", _outside("dst_port", U16_MAX), "dst_port={dst_port} outside 16-bit range"),
+    # NetFlow v5 counters are 32-bit, which keeps bin sums in int64 (see bin_window)
+    *(rule for name in COUNTERS for rule in (
+        _Rule("range", lambda c, n=name: getattr(c, n) < 0, f"{name} must be nonnegative"),
+        _Rule("range", lambda c, n=name: getattr(c, n) > U32_MAX,
+              f"{name}={{{name}}} outside 32-bit counter range"),
+    )),
+    # these decide only rows whose counters are below 2^32: the int64 flag sum cannot wrap
+    _Rule("flags", lambda c: (c.proto == _TCP) & (c.syn + c.synack + c.fin + c.rst > c.packets),
+          "TCP flag counters sum to {flags} > packets={packets}"),
+    _Rule("flags", lambda c: (c.proto != _TCP) & (c.syn + c.synack + c.fin + c.rst != 0),
+          "flag counters must be zero for non-TCP records"),
+)
+
+
+def _reasons(cols: FlowColumns) -> np.ndarray:
+    """Per row, 0 if it keeps every rule, else 1 + the index of the first it breaks."""
+    with np.errstate(invalid="ignore"):  # object columns warn on NaN compares
+        broken = [rule.broken(cols) for rule in _RULES]
+    return np.select(broken, np.arange(1, len(_RULES) + 1, dtype=np.int8), np.int8(0))
+
+
 def _dtype(name: str) -> type:
     if name.startswith("ts_"):
         return np.float64
     return np.int8 if name == "proto" else np.int64
+
+
+def _typed(columns: Iterable) -> FlowColumns:
+    """Copies of one sequence per field as FlowColumns of the fields' dtypes."""
+    return FlowColumns(*(np.array(c, dtype=_dtype(name)) for name, c in zip(FLOW_COLUMNS, columns)))
 
 
 # proto is read wider than any protocol name, so truncation cannot make one
@@ -139,80 +176,15 @@ _LOADTXT_DTYPE = np.dtype(
 )
 
 
-def parse_record(line: str, line_no: int = 0) -> FlowRecord:
-    """Parse one CSV line into a FlowRecord."""
-    fields = line.strip().split(",")
-    if len(fields) != len(FLOW_COLUMNS):
-        raise ParseError(
-            line_no, f"expected {len(FLOW_COLUMNS)} fields, got {len(fields)}", "field count"
-        )
-    try:
-        ts_start = float(fields[0])
-        ts_end = float(fields[1])
-        ints = [int(f) for f in fields[2:6]] + [int(f) for f in fields[7:12]]
-    except ValueError as exc:
-        raise ParseError(line_no, f"unparseable number: {exc}", "number") from None
-    for ts in (ts_start, ts_end):
-        # NaN fails the comparison
-        if not abs(ts) < TS_LIMIT:
-            raise ParseError(
-                line_no, f"timestamp {ts} is not finite or beyond 2^32 s", "timestamp"
-            )
-    proto_text = fields[6]
-    try:
-        proto = Protocol(proto_text)
-    except ValueError:
-        raise ParseError(line_no, f"unknown protocol {proto_text!r}", "protocol") from None
-    try:
-        return FlowRecord(
-            ts_start=ts_start,
-            ts_end=ts_end,
-            src_ip=ints[0],
-            dst_ip=ints[1],
-            src_port=ints[2],
-            dst_port=ints[3],
-            proto=proto,
-            packets=ints[4],
-            syn=ints[5],
-            synack=ints[6],
-            fin=ints[7],
-            rst=ints[8],
-        )
-    except RecordError as exc:
-        raise ParseError(line_no, str(exc), exc.reason) from None
-
-
-def _valid(cols: FlowColumns) -> np.ndarray:
-    """Rows that pass every check `parse_record` applies to parsed values."""
-    counters = np.stack([getattr(cols, name) for name in COUNTERS])
-    flags = counters[1:].sum(axis=0)
-    tcp = cols.proto == PROTOCOLS.index(Protocol.TCP)
-    return (
-        (np.abs(cols.ts_start) < TS_LIMIT)
-        & (np.abs(cols.ts_end) < TS_LIMIT)
-        & (cols.ts_end >= cols.ts_start)
-        & (cols.proto >= 0)
-        & (np.minimum(cols.src_ip, cols.dst_ip) >= 0)
-        & (np.maximum(cols.src_ip, cols.dst_ip) <= U32_MAX)
-        & (np.minimum(cols.src_port, cols.dst_port) >= 0)
-        & (np.maximum(cols.src_port, cols.dst_port) <= U16_MAX)
-        & (counters.min(axis=0) >= 0)
-        & (counters.max(axis=0) <= U32_MAX)
-        & np.where(tcp, flags <= cols.packets, flags == 0)
-    )
-
-
 def _convert(lines: list[str]) -> FlowColumns:
     """Columns of canonical lines; proto -1 marks an unknown name."""
     if not lines:
-        return FlowColumns.from_records([])
+        return _typed([()] * len(FLOW_COLUMNS))
     raw = np.loadtxt(lines, delimiter=",", comments=None, dtype=_LOADTXT_DTYPE, ndmin=1)
     proto = np.full(raw.size, -1, dtype=np.int8)
     for code, p in enumerate(PROTOCOLS):
         proto[raw["proto"] == p.value] = code
-    return FlowColumns(
-        *(proto if name == "proto" else raw[name] for name in FLOW_COLUMNS)
-    )
+    return _typed(proto if name == "proto" else raw[name] for name in FLOW_COLUMNS)
 
 
 def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
@@ -235,34 +207,62 @@ def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     return np.array(at, dtype=np.intp), _convert([lines[i] for i in at])
 
 
+def _split(line: str, line_no: int) -> list:
+    """The values of a nonblank line by `float()` and `int()`, with `proto` as text."""
+    fields = line.strip().split(",")
+    if len(fields) != len(FLOW_COLUMNS):
+        message = f"expected {len(FLOW_COLUMNS)} fields, got {len(fields)}"
+        raise ParseError(line_no, message, "field count")
+    try:
+        return [float(fields[0]), float(fields[1]), *map(int, fields[2:6]), fields[6],
+                *map(int, fields[7:])]
+    except ValueError as exc:
+        raise ParseError(line_no, f"unparseable number: {exc}", "number") from None
+
+
 def _read_chunk(
     lines: list[str], first_line_no: int, errors: str, skipped: Optional[Counter]
 ) -> FlowColumns:
     at, cols = _screen(lines)
-    ok = _valid(cols)
+    ok = _reasons(cols) == 0
     if ok.all() and at.size == len(lines):
         return cols
-    # every other line goes through the per-line reference, in line order
+    # every other nonblank line is split in Python and checked by the same rules
     redo = np.ones(len(lines), dtype=bool)
     redo[at[ok]] = False
-    records, record_at = [], []
+    values, value_at, split_error = [], [], None
     for i in np.flatnonzero(redo).tolist():
-        line = lines[i]
-        if not line.strip():
+        if not lines[i].strip():
             continue
         try:
-            records.append(parse_record(line, first_line_no + i))
+            values.append(_split(lines[i], first_line_no + i))
+            value_at.append(i)
         except ParseError as exc:
             if errors == "raise":
-                raise
+                split_error = exc  # no later line can be the first bad one
+                break
             if skipped is not None:
                 skipped[exc.reason] += 1
-            continue
-        record_at.append(i)
+    # object columns keep every value exact, 10**20 included
+    table = np.array(values, dtype=object).reshape(-1, len(FLOW_COLUMNS))
+    table[:, _PROTO] = [_PROTOCOL_CODES.get(text, -1) for text in table[:, _PROTO]]
+    split = FlowColumns(*table.T)
+    codes = _reasons(split)
+    broken = np.flatnonzero(codes).tolist()
+    if errors == "raise" and broken:
+        row, rule = values[broken[0]], _RULES[codes[broken[0]] - 1]
+        message = rule.message.format(**dict(zip(FLOW_COLUMNS, row)), flags=sum(row[8:]))
+        raise ParseError(first_line_no + value_at[broken[0]], message, rule.reason)
+    if split_error is not None:
+        raise split_error
+    if skipped is not None:
+        skipped.update(_RULES[code - 1].reason for code in codes[broken].tolist())
+    keep = codes == 0
     merged = FlowColumns(*(
-        np.concatenate(pair) for pair in zip(cols.take(ok), FlowColumns.from_records(records))
+        np.concatenate(pair) for pair in zip(cols.take(ok), _typed(split.take(keep)))
     ))
-    return merged.take(np.argsort(np.concatenate([at[ok], record_at]), kind="stable"))
+    order = np.concatenate([at[ok], np.array(value_at, dtype=np.intp)[keep]])
+    return merged.take(np.argsort(order, kind="stable"))
 
 
 def read_flow_csv(
@@ -288,7 +288,7 @@ def read_flow_csv(
         raise ParseError(1, "missing header", "header") from None
     if header.strip() != FLOW_HEADER:
         raise ParseError(1, f"bad header, expected {FLOW_HEADER!r}", "header")
-    chunks = [FlowColumns.from_records([])]
+    chunks = [_typed([()] * len(FLOW_COLUMNS))]
     line_no = 2
     while chunk := list(islice(lines, CHUNK_LINES)):
         chunks.append(_read_chunk(chunk, line_no, errors, skipped))
@@ -299,12 +299,15 @@ def read_flow_csv(
 def iter_flow_csv(
     source: Union[str, IO[str], Iterable[str]],
     errors: str = "raise",
-) -> Iterator[FlowRecord]:
-    """Yield the records of `read_flow_csv(source, errors)` in file order."""
-    for row in zip(*(col.tolist() for col in read_flow_csv(source, errors))):
-        fields = dict(zip(FLOW_COLUMNS, row))
-        fields["proto"] = PROTOCOLS[fields["proto"]]
-        yield FlowRecord(**fields)
+) -> Iterator[tuple]:
+    """Yield the rows of `read_flow_csv(source, errors)` in file order.
+
+    Each row is a tuple of Python values in `FLOW_COLUMNS` order, with
+    `proto` as a `Protocol`.
+    """
+    cols = read_flow_csv(source, errors)
+    proto = np.array(PROTOCOLS, dtype=object)[cols.proto]
+    yield from zip(*(col.tolist() for col in cols._replace(proto=proto)))
 
 
 def bin_window(
@@ -341,7 +344,7 @@ def bin_window(
     keys, key_row = np.unique(getattr(columns, key_field)[rows], return_inverse=True)
     value = value[rows]
     t = np.clip((ts[rows] - lo) // cfg.delta, 0, bins - 1).astype(np.int64)
-    cell = key_row * bins + t
+    cell = key_row * bins + t  # < N * P, and P <= MAX_BINS = 2^21
     if distinct:
         # each distinct (key, bin, token) triple counts once
         order = np.lexsort((value, cell))
@@ -350,6 +353,7 @@ def bin_window(
         first[1:] = (cell[1:] != cell[:-1]) | (value[1:] != value[:-1])
         value = first.astype(np.int64)
     counts = np.zeros((keys.size, bins), dtype=np.int64)
+    # each record adds below 2^32: int64 holds the sums of < 2^31 records
     np.add.at(counts.reshape(-1), cell, value)
     return WindowBatch(window_index, lo, keys, counts)
 

@@ -1,6 +1,7 @@
 """Core domain types shared by the detection pipelines.
 
-Flow records, metric definitions, window configuration and windows.
+Protocols, metric definitions, window configuration and windows; flow
+records exist only inside `ingest`, which holds their rules.
 A window (`WindowBatch`) is ascending keys int64[N] plus their
 counts int64[N, P], read directly by every detector. Everything here is
 an immutable value object whose constructor validates its invariants, so
@@ -17,6 +18,9 @@ import numpy as np
 
 U32_MAX = 0xFFFFFFFF
 U16_MAX = 0xFFFF
+# The most bins a window may span. The rank kernel's int64 sum of squared
+# scores is at most P(P-1)^2, below 2^63 for P <= 2^21 (it wraps near 3.03M).
+MAX_BINS = 1 << 21
 
 
 class Protocol(enum.Enum):
@@ -51,71 +55,6 @@ class DetectionMethod(enum.Enum):
 COUNTERS = ("packets", "syn", "synack", "fin", "rst")
 
 
-class RecordError(ValueError):
-    """A violated FlowRecord invariant.
-
-    `reason` names the rule: "timestamp", "range" or "flags".
-    """
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One NetFlow-style record.
-
-    Addresses are 32-bit unsigned integers, ports 16-bit. The SYN,
-    SYN/ACK, FIN and RST counters are meaningful for TCP only and must
-    be zero otherwise.
-    """
-
-    ts_start: float
-    ts_end: float
-    src_ip: int
-    dst_ip: int
-    src_port: int
-    dst_port: int
-    proto: Protocol
-    packets: int
-    syn: int = 0
-    synack: int = 0
-    fin: int = 0
-    rst: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ts_end < self.ts_start:
-            raise RecordError(
-                "timestamp",
-                f"flow ends before it starts ({self.ts_end} < {self.ts_start})",
-            )
-        for name in ("src_ip", "dst_ip"):
-            v = getattr(self, name)
-            if not 0 <= v <= U32_MAX:
-                raise RecordError("range", f"{name}={v} outside 32-bit range")
-        for name in ("src_port", "dst_port"):
-            v = getattr(self, name)
-            if not 0 <= v <= U16_MAX:
-                raise RecordError("range", f"{name}={v} outside 16-bit range")
-        for name in COUNTERS:
-            v = getattr(self, name)
-            if v < 0:
-                raise RecordError("range", f"{name} must be nonnegative")
-            # NetFlow v5 counters are 32-bit; the bound keeps every bin sum
-            # of fewer than 2^31 records inside int64
-            if v > U32_MAX:
-                raise RecordError("range", f"{name}={v} outside 32-bit counter range")
-        flags = self.syn + self.synack + self.fin + self.rst
-        if self.proto is Protocol.TCP:
-            if flags > self.packets:
-                raise RecordError(
-                    "flags", f"TCP flag counters sum to {flags} > packets={self.packets}"
-                )
-        elif flags != 0:
-            raise RecordError("flags", "flag counters must be zero for non-TCP records")
-
-
 # metric -> (protocol the record must have or None, key field, value field,
 # whether the value is a token counted once per bin rather than a count)
 METRIC_FIELDS = {
@@ -148,6 +87,8 @@ class WindowConfig:
             raise ValueError("delta must be positive and finite")
         if self.bins_per_window < 2:
             raise ValueError("bins_per_window must be at least 2")
+        if self.bins_per_window > MAX_BINS:
+            raise ValueError(f"bins_per_window must be at most 2^21 = {MAX_BINS}")
         if not math.isfinite(self.window_seconds):
             raise ValueError("delta * bins_per_window must be finite")
         if self.top_m < 1:

@@ -27,6 +27,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .model import MAX_BINS
+
 # Truncation tolerance for the alternating tail series.
 _TERM_TOL = 1e-12
 # Below this statistic the tail probability is 1 within _TERM_TOL while
@@ -149,6 +151,11 @@ def pvalue(b: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
+def _check_bins(bins: int) -> None:
+    if bins > MAX_BINS:
+        raise ValueError(f"at most 2^21 = {MAX_BINS} bins: the int64 score sums would wrap")
+
+
 def _block(x: np.ndarray, observed: np.ndarray):
     """Score sums, paths, statistics, change bins and degeneracy of a row block.
 
@@ -171,10 +178,11 @@ def _block(x: np.ndarray, observed: np.ndarray):
     pos = np.arange(bins)
     first = np.maximum.accumulate(np.where(cut[:, :-1], pos, 0), axis=1)
     last = np.minimum.accumulate(np.where(cut[:, :0:-1], pos[::-1], bins - 1), axis=1)[:, ::-1]
-    seen = np.cumsum(obs, axis=1)
+    seen = np.cumsum(obs, axis=1)  # at most P
     above_minus_below = obs * first - (seen[:, -1:] - np.take_along_axis(seen, last, axis=1))
     u = np.empty((rows, bins), dtype=np.int64)
     np.put_along_axis(u, order, above_minus_below, axis=1)
+    # |u_s| <= P - 1: denom <= P(P-1)^2 < 2^63 and |cumsum| <= P(P-1) for P <= MAX_BINS
     denom = (u * u).sum(axis=1)
     # a degenerate row has u == 0, so dividing by 1 keeps its path at zero
     path = np.cumsum(u, axis=1) / np.sqrt(np.maximum(denom, 1))[:, None]
@@ -193,6 +201,7 @@ def statistic_batch(x: np.ndarray, observed: Optional[np.ndarray] = None) -> Bat
     next, so scratch memory does not grow with N.
     """
     x = np.asarray(x)
+    _check_bins(x.shape[-1] if x.ndim == 2 else 0)  # before anything is allocated
     observed = np.ones(x.shape, dtype=bool) if observed is None else np.asarray(observed, bool)
     if x.ndim != 2 or observed.shape != x.shape:
         raise ValueError("x and observed must be N x P matrices of equal shape")
@@ -210,6 +219,7 @@ def statistic_batch(x: np.ndarray, observed: Optional[np.ndarray] = None) -> Bat
 
 def statistic(series: CensoredSeries) -> TestOutcome:
     """Run the censored rank test on one series (one-row `statistic_batch`)."""
+    _check_bins(series.x.size)
     u, path, w, change_bin, degenerate = _block(series.x[None], series.observed[None])
     u, path, w_stat = u[0], path[0], float(w[0])
     u.setflags(write=False)

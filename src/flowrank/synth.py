@@ -17,7 +17,7 @@ from typing import IO, Callable, Optional, Union
 
 import numpy as np
 
-from .model import U32_MAX, WindowBatch
+from .model import MAX_BINS, U32_MAX, WindowBatch
 
 DENSE_HEADER = "key,bin,count"
 _INT64 = np.iinfo(np.int64)
@@ -63,6 +63,8 @@ class SynthConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.bins < 2:
             raise ValueError("bins must be at least 2")
+        if self.bins > MAX_BINS:
+            raise ValueError(f"bins must be at most 2^21 = {MAX_BINS}")
         # each range test also rejects nan
         if not 1 < self.pareto_shape < math.inf:
             raise ValueError("pareto_shape must be finite and exceed 1 (finite mean)")
@@ -204,6 +206,8 @@ def read_dense_csv(
     only zero counts in the file are dropped (they should not appear in
     a dense file anyway).
     """
+    if bins > MAX_BINS:
+        raise ValueError(f"bins must be at most 2^21 = {MAX_BINS}")
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_dense_csv(fh, bins)
@@ -248,6 +252,7 @@ def read_dense_csv(
         raise ValueError(f"bin index {bin_index.max()} exceeds configured {bins} bins")
     keys, row = np.unique(key, return_inverse=True)
     counts = np.zeros((keys.size, bins), dtype=np.int64)
+    # each cell adds a count below 2^32: int64 holds the sums of < 2^31 cells
     np.add.at(counts, (row, bin_index - 1), count)
     alive = counts.any(axis=1)
     return WindowBatch(0, 0.0, keys[alive], counts[alive]), truth

@@ -5,10 +5,14 @@ formulas (explicit double loops or all-pairs comparisons, plain floats)
 and shares no code with the package implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from flowrank.ingest import FlowColumns
+from flowrank.model import Protocol
 
 
 def brute_statistic(x, observed):
@@ -181,6 +185,122 @@ def bridge_tail(b, tol=1e-16, max_terms=1_000_000):
             break
         sign = -sign
     return min(1.0, max(0.0, 2.0 * total))
+
+
+U32_MAX = 2**32 - 1
+U16_MAX = 2**16 - 1
+TS_LIMIT = 2.0**32
+
+
+class RecordError(ValueError):
+    """A record or CSV line the per-line reference rejects.
+
+    `reason` names the broken rule: "field count", "number", "timestamp",
+    "protocol", "range" or "flags". A rejected line has its 1-based
+    `line_no`, and its text starts with "line <line_no>: ".
+    """
+
+    def __init__(self, reason, message, line_no=None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+        self.reason = reason
+        self.line_no = line_no
+
+
+@dataclasses.dataclass(frozen=True)
+class FlowRecord:
+    """One NetFlow-style record, checked field by field on construction.
+
+    Addresses are 32-bit unsigned integers, ports 16-bit, counters below
+    2^32. The SYN, SYN/ACK, FIN and RST counters are meaningful for TCP
+    only and must be zero otherwise.
+    """
+
+    ts_start: float
+    ts_end: float
+    src_ip: int
+    dst_ip: int
+    src_port: int
+    dst_port: int
+    proto: Protocol
+    packets: int
+    syn: int = 0
+    synack: int = 0
+    fin: int = 0
+    rst: int = 0
+
+    def __post_init__(self):
+        if self.ts_end < self.ts_start:
+            raise RecordError(
+                "timestamp", f"flow ends before it starts ({self.ts_end} < {self.ts_start})"
+            )
+        for name in ("src_ip", "dst_ip"):
+            v = getattr(self, name)
+            if not 0 <= v <= U32_MAX:
+                raise RecordError("range", f"{name}={v} outside 32-bit range")
+        for name in ("src_port", "dst_port"):
+            v = getattr(self, name)
+            if not 0 <= v <= U16_MAX:
+                raise RecordError("range", f"{name}={v} outside 16-bit range")
+        for name in ("packets", "syn", "synack", "fin", "rst"):
+            v = getattr(self, name)
+            if v < 0:
+                raise RecordError("range", f"{name} must be nonnegative")
+            if v > U32_MAX:
+                raise RecordError("range", f"{name}={v} outside 32-bit counter range")
+        flags = self.syn + self.synack + self.fin + self.rst
+        if self.proto is Protocol.TCP:
+            if flags > self.packets:
+                raise RecordError(
+                    "flags", f"TCP flag counters sum to {flags} > packets={self.packets}"
+                )
+        elif flags != 0:
+            raise RecordError("flags", "flag counters must be zero for non-TCP records")
+
+
+def parse_record(line, line_no=0):
+    """One CSV line as a FlowRecord, by str.split, float() and int().
+
+    Raises RecordError naming the line for a wrong field count, a number
+    that does not parse, a timestamp that is not finite or not below 2^32
+    in magnitude, an unknown protocol, or a record FlowRecord rejects;
+    the checks run in that order.
+    """
+    fields = line.strip().split(",")
+    if len(fields) != 12:
+        raise RecordError("field count", f"expected 12 fields, got {len(fields)}", line_no)
+    try:
+        ts_start = float(fields[0])
+        ts_end = float(fields[1])
+        ints = [int(f) for f in fields[2:6]] + [int(f) for f in fields[7:12]]
+    except ValueError as exc:
+        raise RecordError("number", f"unparseable number: {exc}", line_no) from None
+    for ts in (ts_start, ts_end):
+        if not abs(ts) < TS_LIMIT:  # NaN fails the comparison
+            raise RecordError(
+                "timestamp", f"timestamp {ts} is not finite or beyond 2^32 s", line_no
+            )
+    try:
+        proto = Protocol(fields[6])
+    except ValueError:
+        raise RecordError("protocol", f"unknown protocol {fields[6]!r}", line_no) from None
+    try:
+        return FlowRecord(ts_start, ts_end, *ints[:4], proto, *ints[4:])
+    except RecordError as exc:
+        raise RecordError(exc.reason, str(exc), line_no) from None
+
+
+def from_records(records):
+    """The FlowColumns of `records`, one row per record in order."""
+    recs = list(records)
+    columns = {}
+    for field in dataclasses.fields(FlowRecord):
+        values = [getattr(rec, field.name) for rec in recs]
+        if field.name == "proto":
+            columns["proto"] = np.array([list(Protocol).index(p) for p in values], dtype=np.int8)
+        else:
+            dtype = np.float64 if field.name.startswith("ts_") else np.int64
+            columns[field.name] = np.array(values, dtype=dtype)
+    return FlowColumns(**columns)
 
 
 def split_records(records, delta, bins):

@@ -356,6 +356,60 @@ def test_detect_ignores_line_order_and_chunk_size(two_window_csv, tmp_path, caps
         assert detect(two_window_csv) == want, chunk
 
 
+@pytest.mark.parametrize("metric", ["syn", "netscan"])
+@pytest.mark.parametrize("method", ["toprank", "full"])
+def test_detect_commutes_with_order_preserving_key_relabelling(two_window_csv, tmp_path, capsys,
+                                                               metric, method):
+    # TopRank and Comprehensive use keys only through their order (tie-breaks),
+    # so a strictly increasing map on addresses maps the alarm keys alone
+    header, *data = two_window_csv.read_text().splitlines()
+    rows = [line.split(",") for line in data]
+    old = sorted({int(row[i]) for row in rows for i in (2, 3)})
+    relabel = dict(zip(old, sorted(random.Random(7).sample(range(2**32), len(old)))))
+    for row in rows:
+        row[2], row[3] = (str(relabel[int(v)]) for v in row[2:4])
+    relabelled = tmp_path / "relabelled.csv"
+    relabelled.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+
+    def detect(source):
+        out = tmp_path / "alarms.csv"
+        argv = ["detect", "--input", str(source), "--output", str(out), "--metric", metric,
+                "--method", method, "--alpha", "0.5", "--keep", "3", "--errors", "skip"]
+        assert main(argv) == 0
+        return out.read_text().splitlines(), capsys.readouterr().err
+
+    (head, *alarms), err = detect(two_window_csv)
+    assert {row.split(",")[0] for row in alarms} == {"0", "1"}
+    mapped = []
+    for row in alarms:
+        window, key, rest = row.split(",", 2)
+        mapped.append(f"{window},{relabel[int(key)]},{rest}")
+    assert detect(relabelled) == ([head, *mapped], err)
+
+
+def test_more_bins_than_the_kernel_holds_is_a_usage_error(flow_csv, tmp_path, capsys, monkeypatch):
+    # at P = 4M bins the int64 sum of squared scores wrapped, and roc "detected"
+    # a change of factor 1; every entry now refuses P > 2^21 before any draw
+    def no_generate(*args, **kwargs):
+        raise AssertionError("the bin count must be checked before any data is drawn")
+
+    monkeypatch.setattr(cli, "generate", no_generate)
+    monkeypatch.setattr(evaluate, "generate", no_generate)
+    out = tmp_path / "out.csv"
+    for argv in (
+        ["roc", "--method", "full", "--dim", "1", "--target-rank", "1", "--bins", "4000000",
+         "--change-at", "2000000", "--factor", "1", "--runs", "1", "--seed", "3",
+         "--thresholds", "0.01"],
+        ["simulate", "--bins", "2097153"],
+        ["detect", "--input", str(flow_csv), "--window", "2097153"],
+        ["detect", "--input", str(flow_csv), "--format", "dense", "--window", "2097153"],
+    ):
+        assert main([*argv, "--output", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("flowrank: error: ") and "2^21" in err, err
+        assert not out.exists()
+
+
 def test_detect_window_without_metric_records_writes_header_only(tmp_path):
     # UDP traffic only: under the syn metric the window has no keys
     flows = tmp_path / "udp.csv"

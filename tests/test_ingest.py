@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import warnings
 from collections import Counter
@@ -17,13 +18,12 @@ from flowrank.ingest import (
     ParseError,
     bin_window,
     iter_flow_csv,
-    parse_record,
     read_flow_csv,
     split_windows,
 )
-from flowrank.model import COUNTERS, FlowRecord, MetricKind, Protocol, WindowConfig
+from flowrank.model import COUNTERS, MetricKind, Protocol, WindowConfig
 
-from oracles import bin_records, split_records
+from oracles import FlowRecord, RecordError, bin_records, from_records, parse_record, split_records
 
 
 def flow_line(ts, dst_ip=20, syn=1, proto="TCP", packets=10, src_ip=10, dst_port=80):
@@ -40,7 +40,7 @@ def csv_of(lines):
 
 
 def test_flow_columns_follow_flow_record_field_order():
-    # parse_record, FlowColumns.from_records and iter_flow_csv rely on it
+    # the reference records and iter_flow_csv's tuples rely on it
     assert FLOW_COLUMNS == tuple(f.name for f in dataclasses.fields(FlowRecord))
 
 
@@ -53,23 +53,23 @@ def test_parse_record_example():
 
 
 def test_parse_record_reversed_times():
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(RecordError) as info:
         parse_record("1.5,1.0,1,2,3,4,TCP,1,0,0,0,0", 7)
     assert info.value.line_no == 7
 
 
 def test_parse_record_unparseable_number():
-    with pytest.raises(ParseError):
+    with pytest.raises(RecordError):
         parse_record("abc,1.0,1,2,3,4,TCP,1,0,0,0,0", 3)
 
 
 def test_parse_record_field_count():
-    with pytest.raises(ParseError):
+    with pytest.raises(RecordError):
         parse_record("1.0,2.0,1,2", 4)
 
 
 def test_parse_record_unknown_protocol():
-    with pytest.raises(ParseError):
+    with pytest.raises(RecordError):
         parse_record("0,1,1,2,3,4,ICMP,1,0,0,0,0", 2)
 
 
@@ -89,9 +89,9 @@ def test_iter_flow_csv_skip_policy():
 
 @pytest.mark.parametrize("bad_ts", ["nan", "inf", "-inf", "1e300"])
 def test_bad_timestamps_rejected_under_both_policies(bad_ts):
-    with pytest.raises(ParseError):
+    with pytest.raises(RecordError):
         parse_record(f"{bad_ts},1.0,1,2,3,4,TCP,1,0,0,0,0", 2)
-    with pytest.raises(ParseError):
+    with pytest.raises(RecordError):
         parse_record(f"0.0,{bad_ts},1,2,3,4,TCP,1,0,0,0,0", 2)
     with pytest.raises(ParseError):
         list(iter_flow_csv(csv_of([flow_line(0.0), f"{bad_ts},{bad_ts},1,2,3,4,TCP,1,0,0,0,0"])))
@@ -104,9 +104,9 @@ def test_bad_timestamps_rejected_under_both_policies(bad_ts):
 def test_negative_and_near_limit_timestamps_accepted():
     assert parse_record(flow_line(-5.0), 2).ts_start == -5.0
     assert parse_record(flow_line(4294967295.0), 2).ts_start == 4294967295.0
-    with pytest.raises(ParseError):
+    with pytest.raises(RecordError):
         parse_record(flow_line(4294967296.0), 2)
-    batches = list(split_windows(FlowColumns.from_records([parse_record(flow_line(-5.0), 2)]), cfg3()))
+    batches = list(split_windows(from_records([parse_record(flow_line(-5.0), 2)]), cfg3()))
     assert batches[0].start_time == -5.0
 
 
@@ -124,7 +124,7 @@ def test_bin_window_adds_syn_counts():
         parse_record(flow_line(0.1, syn=2, packets=5), 2),
         parse_record(flow_line(0.7, syn=3, packets=6), 3),
     ]
-    batch = bin_window(FlowColumns.from_records(records), cfg3())
+    batch = bin_window(from_records(records), cfg3())
     assert series_of(batch)[20] == [5, 0, 0]
 
 
@@ -133,12 +133,12 @@ def test_bin_window_distinct_ports_deduplicate():
         parse_record(flow_line(0.1, dst_port=80), 2),
         parse_record(flow_line(0.5, dst_port=80), 3),
     ]
-    batch = bin_window(FlowColumns.from_records(records), cfg3(MetricKind.PORT_SCAN))
+    batch = bin_window(from_records(records), cfg3(MetricKind.PORT_SCAN))
     assert series_of(batch)[20] == [1, 0, 0]
 
 
 def test_bin_window_empty_stream():
-    batch = bin_window(FlowColumns.from_records([]), cfg3())
+    batch = bin_window(from_records([]), cfg3())
     assert batch.num_keys == 0
     assert batch.bins == 3
 
@@ -146,7 +146,7 @@ def test_bin_window_empty_stream():
 def test_bin_window_rejects_out_of_range_record():
     rec = parse_record(flow_line(10.0), 2)
     with pytest.raises(ValueError):
-        bin_window(FlowColumns.from_records([rec]), cfg3(), window_index=0)
+        bin_window(from_records([rec]), cfg3(), window_index=0)
 
 
 def test_window_edge_records_bin_where_split_windows_puts_them():
@@ -154,7 +154,7 @@ def test_window_edge_records_bin_where_split_windows_puts_them():
     # span [lo, lo + window_seconds) it rounds onto the end of
     cfg = WindowConfig(delta=0.5552908027291993, bins_per_window=84, top_m=2)
     records = [parse_record(flow_line(t), i) for i, t in enumerate((1000005310.704, 1000006103.123), 2)]
-    batches = list(split_windows(FlowColumns.from_records(records), cfg))
+    batches = list(split_windows(from_records(records), cfg))
     assert [b.counts.sum() for b in batches] == [1, 1]
     assert batches[1].start_time + cfg.window_seconds == 1000006103.123
     assert series_of(batches[1])[20] == [0] * 83 + [1]
@@ -163,7 +163,7 @@ def test_window_edge_records_bin_where_split_windows_puts_them():
     origin, t = -674.7898402104502, 4193903.8997118683
     window = int((t - origin) // cfg.window_seconds)
     assert origin + window * cfg.window_seconds > t
-    columns = FlowColumns.from_records([parse_record(flow_line(t), 2)])
+    columns = from_records([parse_record(flow_line(t), 2)])
     assert series_of(bin_window(columns, cfg, window, origin)) == {20: [1, 0, 0, 0]}
     # records of another window are still rejected
     with pytest.raises(ValueError, match="outside window"):
@@ -177,8 +177,8 @@ def test_bin_window_is_order_independent():
         for _ in range(40)
     ]
     records = [parse_record(l, i) for i, l in enumerate(lines, start=2)]
-    a = bin_window(FlowColumns.from_records(records), cfg3())
-    b = bin_window(FlowColumns.from_records(list(reversed(records))), cfg3())
+    a = bin_window(from_records(records), cfg3())
+    b = bin_window(from_records(list(reversed(records))), cfg3())
     assert series_of(a) == series_of(b)
 
 
@@ -195,14 +195,14 @@ def test_bin_window_syn_mass_conservation():
         )
         for i in range(50)
     ]
-    batch = bin_window(FlowColumns.from_records(records), cfg3())
+    batch = bin_window(from_records(records), cfg3())
     total = batch.counts.sum()
     assert total == sum(r.syn for r in records)
 
 
 def test_bin_window_drops_all_zero_keys():
     records = [parse_record(flow_line(0.1, syn=0), 2)]
-    batch = bin_window(FlowColumns.from_records(records), cfg3())
+    batch = bin_window(from_records(records), cfg3())
     assert batch.num_keys == 0
 
 
@@ -215,7 +215,7 @@ def test_split_windows_groups_and_aligns():
         parse_record(flow_line(13.0), 4),  # next window
         parse_record(flow_line(19.5), 5),  # skips one empty window
     ]
-    batches = list(split_windows(FlowColumns.from_records(records), cfg))
+    batches = list(split_windows(from_records(records), cfg))
     assert [b.window_index for b in batches] == [0, 1, 3]
     assert batches[0].start_time == 10.0
     assert series_of(batches[0])[20] == [1, 0, 1]
@@ -225,7 +225,7 @@ def test_split_windows_groups_and_aligns():
 
 
 def test_split_windows_empty_stream():
-    assert list(split_windows(FlowColumns.from_records([]), cfg3())) == []
+    assert list(split_windows(from_records([]), cfg3())) == []
 
 
 @pytest.mark.parametrize("delta,bins,stamps,match", [
@@ -238,7 +238,7 @@ def test_split_windows_rejects_unresolvable_delta(delta, bins, stamps, match):
     cfg = WindowConfig(delta=delta, bins_per_window=bins, top_m=2)
     records = [parse_record(flow_line(t), i) for i, t in enumerate(stamps, start=2)]
     with pytest.raises(ValueError, match=match):
-        list(split_windows(FlowColumns.from_records(records), cfg))
+        list(split_windows(from_records(records), cfg))
 
 
 def test_split_windows_unsorted_input():
@@ -247,7 +247,7 @@ def test_split_windows_unsorted_input():
         parse_record(flow_line(13.0), 2),
         parse_record(flow_line(10.4), 3),
     ]
-    batches = list(split_windows(FlowColumns.from_records(records), cfg))
+    batches = list(split_windows(from_records(records), cfg))
     assert [b.window_index for b in batches] == [0, 1]
     assert batches[0].start_time == 10.0
 
@@ -329,15 +329,15 @@ def test_read_flow_csv_matches_per_line_reference(lines):
             continue
         try:
             records.append(parse_record(line, line_no))
-        except ParseError as exc:
+        except RecordError as exc:
             errors.append(exc)
     source = [FLOW_HEADER + "\n"] + lines
     with patch.object(ingest, "CHUNK_LINES", 4):  # several chunks per file
         skipped = Counter()
         got = read_flow_csv(source, errors="skip", skipped=skipped)
-        assert_same_columns(got, FlowColumns.from_records(records))
+        assert_same_columns(got, from_records(records))
         assert skipped == Counter(exc.reason for exc in errors)
-        assert list(iter_flow_csv(source, errors="skip")) == records
+        assert list(iter_flow_csv(source, errors="skip")) == list(map(dataclasses.astuple, records))
         if errors:
             with pytest.raises(ParseError) as info:
                 read_flow_csv(source)
@@ -345,7 +345,7 @@ def test_read_flow_csv_matches_per_line_reference(lines):
             assert (info.value.line_no, str(info.value), info.value.reason) == (
                 first.line_no, str(first), first.reason)
         else:
-            assert_same_columns(read_flow_csv(source), FlowColumns.from_records(records))
+            assert_same_columns(read_flow_csv(source), from_records(records))
 
 
 def test_plain_corpus_skips_the_per_line_screen():
@@ -359,7 +359,7 @@ def test_plain_corpus_skips_the_per_line_screen():
         got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
     assert skipped == {"flags": 1}
     del lines[50]
-    assert_same_columns(got, FlowColumns.from_records(parse_record(line) for line in lines))
+    assert_same_columns(got, from_records(parse_record(line) for line in lines))
 
 
 @pytest.mark.parametrize("odd", [
@@ -402,7 +402,7 @@ def test_fractional_counter_is_a_parse_error_under_default_filters(loadtxt):
         got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
     assert skipped == {"number": 1}
     del lines[7]
-    assert_same_columns(got, FlowColumns.from_records(parse_record(line) for line in lines))
+    assert_same_columns(got, from_records(parse_record(line) for line in lines))
 
 
 def test_canonical_timestamps_match_float_bit_for_bit():
@@ -433,6 +433,88 @@ def test_read_flow_csv_reports_skips_by_reason():
         "field count": 1, "number": 1, "protocol": 1, "range": 1, "flags": 1, "timestamp": 1}
 
 
+def record_line(**fields):
+    """VALID with some fields replaced, by name."""
+    values = dict(zip(FLOW_COLUMNS, VALID.rstrip().split(",")), **fields)
+    return ",".join(str(values[name]) for name in FLOW_COLUMNS)
+
+
+# one line per entry of the rule table, in its order: the line breaks that
+# rule alone, and read_flow_csv reports it with this message and reason
+RULE_CASES = [
+    (record_line(ts_start="nan"), "timestamp nan is not finite or beyond 2^32 s", "timestamp"),
+    (record_line(ts_end="-1e300"), "timestamp -1e+300 is not finite or beyond 2^32 s", "timestamp"),
+    (record_line(proto="ICMP"), "unknown protocol 'ICMP'", "protocol"),
+    (record_line(ts_start="0.7"), "flow ends before it starts (0.6 < 0.7)", "timestamp"),
+    (record_line(src_ip=2**32), "src_ip=4294967296 outside 32-bit range", "range"),
+    (record_line(dst_ip=-1), "dst_ip=-1 outside 32-bit range", "range"),
+    (record_line(src_port=2**16), "src_port=65536 outside 16-bit range", "range"),
+    (record_line(dst_port=-1), "dst_port=-1 outside 16-bit range", "range"),
+    *(case for name in COUNTERS for case in (
+        (record_line(**{name: -1}), f"{name} must be nonnegative", "range"),
+        (record_line(**{name: 2**32}), f"{name}={2**32} outside 32-bit counter range", "range"),
+    )),
+    (record_line(packets=2), "TCP flag counters sum to 3 > packets=2", "flags"),
+    (record_line(proto="UDP"), "flag counters must be zero for non-TCP records", "flags"),
+]
+
+
+@pytest.mark.parametrize("line,message,reason", RULE_CASES,
+                         ids=[f"{i}-{case[2]}" for i, case in enumerate(RULE_CASES, 1)])
+def test_each_record_rule_rejects_its_line(line, message, reason):
+    assert len(RULE_CASES) == len(ingest._RULES)
+    with pytest.raises(ParseError) as info:
+        read_flow_csv(csv_of([VALID.rstrip(), line]))
+    assert (info.value.line_no, str(info.value), info.value.reason) == (
+        3, f"line 3: {message}", reason)
+    skipped = Counter()
+    cols = read_flow_csv(csv_of([VALID.rstrip(), line, VALID.rstrip()]), errors="skip",
+                         skipped=skipped)
+    assert skipped == {reason: 1} and cols.ts_start.size == 2
+
+
+@pytest.mark.parametrize("line,reason", [
+    (record_line(ts_start="inf", proto="ICMP"), "timestamp"),
+    (record_line(ts_end="nan", ts_start="0.7"), "timestamp"),
+    (record_line(ts_start="0.7", proto="ICMP", src_ip=-1), "protocol"),
+    (record_line(ts_start="0.7", src_ip=-1), "timestamp"),
+    (record_line(dst_port=2**16, packets=-1), "range"),
+    (record_line(proto="UDP", packets=2**32), "range"),
+])
+def test_record_rules_report_the_first_broken_rule(line, reason):
+    with pytest.raises(RecordError) as oracle:
+        parse_record(line, 2)
+    with pytest.raises(ParseError) as info:
+        read_flow_csv(csv_of([line]))
+    assert info.value.reason == oracle.value.reason == reason
+    assert str(info.value) == str(oracle.value)
+
+
+def test_record_rules_accept_their_bounds():
+    top = 2**32 - 1
+    lines = [
+        f"-4294967295.5,4294967295.5,{top},{top},65535,65535,TCP,{top},{top},0,0,0",
+        f"0,0,0,0,0,0,UDP,{top},0,0,0,0",
+        f"1,1,0,0,0,0,TCP,{top},1,{top - 3},1,1",
+        "-0,0,0,0,0,0,OTHER,0,0,0,0,0",
+    ]
+    for source in (csv_of(lines), csv_of(lines + ["+5"])):  # chunk path, then line by line
+        cols = read_flow_csv(source, errors="skip")
+        assert_same_columns(cols, from_records(parse_record(line) for line in lines))
+
+
+def test_skip_policy_leaves_no_reference_cycles():
+    # a kept ParseError's traceback would pin each chunk's arrays until the next gc
+    src = csv_of([flow_line(0.0), "1,2,3", "x,1,1,2,3,4,TCP,1,0,0,0,0", FLAGS.rstrip()] * 50)
+    gc.collect()
+    gc.disable()
+    try:
+        read_flow_csv(src, errors="skip", skipped=Counter())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_read_flow_csv_empty_and_header_only():
     with pytest.raises(ParseError) as info:
         read_flow_csv([])
@@ -452,7 +534,7 @@ def test_counters_beyond_32_bits_rejected_under_both_policies(field):
 
     assert getattr(parse_record(line(2**32 - 1), 2), field) == 2**32 - 1
     for big in (2**32, 10**20, 2**63 - 1):
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(RecordError) as info:
             parse_record(line(big), 3)
         assert info.value.reason == "range" and f"{field}={big}" in str(info.value)
         with pytest.raises(ParseError) as info:
@@ -482,7 +564,7 @@ def test_split_windows_matches_per_record_oracle(metric, seed):
     rng.shuffle(records)
     cfg = WindowConfig(delta=delta, bins_per_window=bins, top_m=2, metric=metric)
     origin, groups = split_records(records, delta, bins)
-    batches = list(split_windows(FlowColumns.from_records(records), cfg))
+    batches = list(split_windows(from_records(records), cfg))
     assert [b.window_index for b in batches] == sorted(groups)
     for batch in batches:
         expected = bin_records(groups[batch.window_index], metric.value, delta, bins,

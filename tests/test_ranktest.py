@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowrank import ranktest
+from flowrank.model import MAX_BINS
 from flowrank.ranktest import (
     NEVER_TESTED,
     CensoredSeries,
@@ -195,6 +198,27 @@ def test_nonfinite_values_rejected(bad):
         statistic_batch(x)
     with pytest.raises(ValueError):
         statistic_batch([[1.0, bad, 2.0]])
+
+
+def test_kernel_rejects_more_bins_than_its_int64_sums_hold():
+    # sum(u^2) <= P(P-1)^2 wraps int64 near P = 3.03M; 2^21 is the bound
+    assert MAX_BINS * (MAX_BINS - 1) ** 2 < 2**63
+    wide = np.broadcast_to(np.float64(1.0), (3, MAX_BINS + 1))  # no memory behind it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^21"):
+            statistic_batch(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # raised before the default flags or any block existed
+    with patch.object(ranktest, "MAX_BINS", 4):
+        statistic_batch(np.ones((2, 4)))
+        statistic(CensoredSeries(0, [1.0, 2.0, 3.0, 4.0], [True] * 4))
+        with pytest.raises(ValueError):
+            statistic_batch(np.ones((2, 5)))
+        with pytest.raises(ValueError):
+            statistic(CensoredSeries(0, [1.0, 2.0, 3.0, 4.0, 5.0], [True] * 5))
 
 
 def test_statistic_rejects_single_bin():

@@ -226,3 +226,14 @@ def test_dense_csv_validation():
 def test_dense_csv_bad_numbers_name_their_line(row):
     with pytest.raises(ValueError, match="^line 3: "):
         read_dense_csv(io.StringIO(f"key,bin,count\n1,1,1\n{row}\n"), bins=10)
+
+
+def test_bins_beyond_two_to_the_21_rejected():
+    # the rank kernel's int64 sums hold up to 2^21 bins; nothing here allocates them
+    assert SynthConfig(bins=2**21, change_bin=1).bins == 2**21
+    with pytest.raises(ValueError, match="2\\^21"):
+        SynthConfig(bins=2**21 + 1, change_bin=1)
+    empty, _ = read_dense_csv(io.StringIO("key,bin,count\n"), bins=2**21)
+    assert empty.counts.shape == (0, 2**21)
+    with pytest.raises(ValueError, match="2\\^21"):
+        read_dense_csv(io.StringIO("key,bin,count\n1,1,1\n"), bins=2**21 + 1)
