@@ -165,37 +165,26 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    methods = (
-        [DetectionMethod.TOPRANK, DetectionMethod.HASHRANK, DetectionMethod.COMPREHENSIVE]
-        if args.method == "all"
-        else [_METHODS[args.method]]
-    )
+    methods = list(DetectionMethod) if args.method == "all" else [_METHODS[args.method]]
     thresholds = (
         _parse_list(args.thresholds, float, "thresholds")
-        if args.thresholds
+        if args.thresholds is not None
         else DEFAULT_THRESHOLDS
     )
-    cfg = _synth_config(args)
-    lines = []
-    for method in methods:
-        points = roc(
-            cfg,
-            method,
-            args.runs,
-            thresholds,
-            budget=args.budget,
-            top_m=args.top,
-            l_rows=args.rows,
-            k_buckets=args.buckets,
-            threads=args.threads,
-        )
-        for p in points:
-            lines.append(
-                f"{method.value},{p.threshold:.6g},{p.fa_rate:.6g},{p.det_rate:.6g}"
-            )
+    points = roc(
+        _synth_config(args),
+        *methods,
+        runs=args.runs,
+        thresholds=thresholds,
+        budget=args.budget,
+        top_m=args.top,
+        l_rows=args.rows,
+        k_buckets=args.buckets,
+        threads=args.threads,
+    )
+    lines = [f"{p.method.value},{p.threshold:.6g},{p.fa_rate:.6g},{p.det_rate:.6g}" for p in points]
     # random-classifier reference line (detects like it false-alarms)
-    for t in thresholds:
-        lines.append(f"random,{t:.6g},{t:.6g},{t:.6g}")
+    lines += [f"random,{t:.6g},{t:.6g},{t:.6g}" for t in thresholds]
     params = _namespace_params(args)
     params["thresholds_used"] = thresholds
     return _write_table(args, "method,threshold,fa_rate,det_rate", lines, "roc points", params)

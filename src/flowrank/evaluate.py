@@ -3,10 +3,10 @@
 `scorer` is the one place that maps a `DetectionMethod` to its per-key
 scorer (`score_window` of `toprank` or `hashrank`, or
 `score_comprehensive`); `detect` thresholds that scorer's alarm p-values
-and `roc` sweeps them. Each ROC run generates a fresh dataset with one
-injected change and scores it; sweeping a decision threshold over the
-alarm p-values then yields false-alarm and detection rates, averaged
-over runs.
+and `roc` sweeps them. Each ROC run generates one fresh dataset with one
+injected change and scores it with every method asked for; sweeping a
+decision threshold over the alarm p-values then yields each method's
+false-alarm and detection rates, averaged over runs.
 Runs are seeded individually (data with base+run, hash coefficients
 with base+HASH_SEED_OFFSET+run) and run on a pool of `threads` threads
 with results taken in run order, so results are reproducible and
@@ -35,6 +35,7 @@ HASH_SEED_OFFSET = 1_000_000
 
 
 class RocPoint(NamedTuple):
+    method: DetectionMethod
     threshold: float
     fa_rate: float
     det_rate: float
@@ -76,23 +77,27 @@ def check_thresholds(thresholds: Sequence[float]) -> list[float]:
 
 def roc(
     cfg: SynthConfig,
-    method: DetectionMethod,
+    *methods: DetectionMethod,
     runs: int,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    *,
     budget: int = 136,
     top_m: int = 50,
     l_rows: int = 8,
     k_buckets: int = 17,
     threads: int = 1,
 ) -> list[RocPoint]:
-    """ROC curve of one method over fresh Monte Carlo datasets.
+    """ROC curves of `methods` over fresh Monte Carlo datasets.
 
-    The record-filtering method runs budget-matched: it tests exactly
+    Each run draws one dataset and scores it with every method, so the
+    curves compare the methods on the same data. The points come method
+    by method, in threshold order within each method. The
+    record-filtering method runs budget-matched: it tests exactly
     `budget` candidate series per window (the sketch method's cell
     count), using `top_m` as the filtering depth. Every argument is
     checked before the first run.
     """
+    if not methods or not all(isinstance(m, DetectionMethod) for m in methods):
+        raise ValueError("methods must be one or more DetectionMethod values")
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if threads < 1:
@@ -108,15 +113,16 @@ def roc(
     coeffs = [
         sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets) for r in range(runs)
     ]
-    anomaly_key = cfg.change_rank
+    # `generate` puts key i at row i - 1
+    at = cfg.change_rank - 1
 
     def one_run(r: int) -> tuple[np.ndarray, np.ndarray]:
-        scores = scorer(method, wcfg, budget, coeffs[r])(generate(replace(cfg, seed=cfg.seed + r)))
-        at = int(np.searchsorted(scores.keys, anomaly_key))
-        det = (scores.p_alarm[at] < thr_arr).astype(np.float64)
-        others = np.delete(scores.p_alarm, at)
+        batch = generate(replace(cfg, seed=cfg.seed + r))
+        p_alarm = np.stack([scorer(m, wcfg, budget, coeffs[r])(batch).p_alarm for m in methods])
+        det = (p_alarm[:, at, None] < thr_arr).astype(np.float64)
+        others = np.delete(p_alarm, at, axis=1)
         # a one-key window has no other keys and so no false alarms
-        fa = (others[:, None] < thr_arr[None, :]).sum(axis=0) / max(others.size, 1)
+        fa = (others[:, :, None] < thr_arr).sum(axis=1) / max(others.shape[1], 1)
         return fa, det
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -124,6 +130,7 @@ def roc(
     fa_mean = np.mean([fa for fa, _ in results], axis=0)
     det_mean = np.mean([det for _, det in results], axis=0)
     return [
-        RocPoint(threshold=t, fa_rate=float(fa), det_rate=float(det))
-        for t, fa, det in zip(thr, fa_mean, det_mean)
+        RocPoint(method, threshold=t, fa_rate=float(fa), det_rate=float(det))
+        for method, fa_row, det_row in zip(methods, fa_mean, det_mean)
+        for t, fa, det in zip(thr, fa_row, det_row)
     ]

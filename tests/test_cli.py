@@ -202,6 +202,7 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
         ["roc", "--thresholds", "0.5,0.1"],
         ["roc", "--thresholds", "abc"],
         ["roc", "--thresholds", ","],
+        ["roc", "--thresholds", ""],
         ["fisher", "--dims", "0"],
         ["fisher", "--dims", "1"],
         ["fisher", "--dims", "x"],
@@ -504,6 +505,24 @@ def test_roc_outputs_curves_and_reference(tmp_path):
     assert methods == {"toprank", "hashrank", "full", "random"}
     manifest = json.loads((tmp_path / "roc.csv.manifest.json").read_text())
     assert len(manifest["parameters"]["thresholds_used"]) == 31
+
+
+def test_roc_all_is_the_single_method_rows_then_random(tmp_path):
+    base = [
+        "roc", "--runs", "3", "--dim", "60", "--bins", "24", "--change-at", "12",
+        "--factor", "4", "--target-rank", "6", "--budget", "20", "--top", "8", "--seed", "5",
+        "--thresholds", "0,1e-4,0.01,0.2,1",
+    ]
+    rows = {}
+    for method in ("all", "toprank", "hashrank", "full"):
+        out = tmp_path / f"{method}.csv"
+        assert main(base + ["--method", method, "--output", str(out)]) == 0
+        rows[method] = out.read_text().splitlines()
+    # each single-method file is the header, five method rows, five random rows
+    header, random = rows["toprank"][:1], rows["toprank"][6:]
+    assert all(row.startswith("random,") for row in random)
+    methods = [row for m in ("toprank", "hashrank", "full") for row in rows[m][1:6]]
+    assert rows["all"] == header + methods + random
 
 
 def test_roc_reruns_byte_identical(tmp_path):

@@ -108,7 +108,7 @@ def test_roc_rates_monotone_in_threshold(method):
 def test_roc_zero_threshold_alarms_nothing():
     points = roc(small_cfg(), DetectionMethod.COMPREHENSIVE, runs=2)
     assert points[0].threshold == 0.0
-    assert points[0] == (0.0, 0.0, 0.0)
+    assert points[0] == (DetectionMethod.COMPREHENSIVE, 0.0, 0.0, 0.0)
 
 
 def test_roc_toprank_false_alarms_capped_by_budget():
@@ -121,6 +121,30 @@ def test_roc_deterministic_and_thread_invariant():
     a = roc(small_cfg(3), DetectionMethod.TOPRANK, runs=4, budget=24, top_m=10, threads=1)
     b = roc(small_cfg(3), DetectionMethod.TOPRANK, runs=4, budget=24, top_m=10, threads=4)
     assert a == b
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_roc_draws_each_dataset_once_for_every_method(threads, monkeypatch):
+    seeds = []
+
+    def counting_generate(cfg):
+        seeds.append(cfg.seed)
+        return generate(cfg)
+
+    monkeypatch.setattr(evaluate, "generate", counting_generate)
+    kwargs = {"runs": 3, "budget": 24, "top_m": 10, "threads": threads}
+    together = roc(small_cfg(4), *DetectionMethod, **kwargs)
+    assert sorted(seeds) == [4, 5, 6]
+    alone = [p for m in DetectionMethod for p in roc(small_cfg(4), m, **kwargs)]
+    assert together == alone
+    assert [p.method for p in together] == [m for m in DetectionMethod for _ in DEFAULT_THRESHOLDS]
+
+
+def test_roc_detection_reads_the_changed_key():
+    # a tenfold change at rank 8: every method detects it in every run, and no other key alarms
+    cfg = SynthConfig(dim=40, bins=40, change_rank=8, change_bin=20, factor=10.0, seed=2)
+    points = roc(cfg, *DetectionMethod, runs=3, thresholds=[1e-4], budget=12, top_m=5)
+    assert [(p.fa_rate, p.det_rate) for p in points] == [(0.0, 1.0)] * 3
 
 
 def test_roc_validates_arguments():
@@ -162,12 +186,19 @@ def test_roc_rejects_thresholds_that_are_not_ascending_pvalues(thresholds, no_ru
         ("l_rows", 0, "row"),
         ("k_buckets", 1, "buckets"),
         ("budget", 0, "budget"),
+        ("methods", (), "method"),
+        ("methods", (DetectionMethod.TOPRANK, "full"), "method"),
     ],
 )
 def test_roc_rejects_bad_arguments_before_any_run(name, value, match, no_runs):
-    for method in DetectionMethod:
+    options = {"runs": 1, name: value}
+    # a bad option fails every method alone and all of them at once
+    calls = [(m,) for m in DetectionMethod] + [tuple(DetectionMethod)]
+    if name == "methods":
+        calls = [options.pop("methods")]
+    for methods in calls:
         with pytest.raises(ValueError, match=match):
-            roc(small_cfg(), method, runs=1, **{name: value})
+            roc(small_cfg(), *methods, **options)
 
 
 def test_check_thresholds_keeps_ascending_pvalues():
