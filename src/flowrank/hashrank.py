@@ -162,7 +162,7 @@ def build_sketch(batch: WindowBatch, coeffs: HashCoefficients) -> SketchTable:
         order = np.argsort(bucket, kind="stable")
         ordered = bucket[order]
         starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        # < 2^31 keys of counts below 2^32 (flow, dense or synthetic window) sum below 2^63
+        # as `from_cells` states: < 2^31 contributions below 2^32 per bin sum below 2^63
         series[row, ordered[starts]] = np.add.reduceat(batch.counts[order], starts, axis=0)
     return SketchTable(series=series, keys=batch.keys, buckets=buckets)
 

@@ -109,10 +109,11 @@ class WindowBatch:
 
     Row i of `counts` is the series of `keys[i]` over the window's P
     bins; N is the dimension of the window. Constructors normally omit
-    keys whose series is identically zero. Both arrays are validated,
-    stored as int64 and made read-only, so a batch is an immutable
-    snapshot: an int64 array that owns its memory is adopted without a
-    copy and frozen in place, any other input is copied.
+    keys whose series is identically zero. Both arrays take integers of
+    any width that fit int64, are stored as int64 and made read-only, so
+    a batch is an immutable snapshot: an int64 array that owns its memory
+    is adopted without a copy and frozen in place, any other input is
+    copied.
     """
 
     window_index: int
@@ -162,13 +163,9 @@ class WindowBatch:
 
 
 def _as_int64(values, what: str) -> np.ndarray:
-    """`values` as int64 (an owning int64 array as is, else a checked copy)."""
+    """Integer `values` of any width as int64: an owning int64 array as is, else a copy."""
     arr = np.asarray(values)
-    if arr.dtype == np.int64 and arr.flags.owndata:
-        return arr
-    with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the check below
-        cast = arr.astype(np.int64)
-    if arr.dtype.kind not in "iub" and not np.array_equal(cast, arr):
+    kind = arr.dtype.kind
+    if arr.size and (kind not in "iu" or kind == "u" and arr.max() > np.iinfo(np.int64).max):
         raise ValueError(f"{what} must be integers that fit 64 bits")
-    return cast
-
+    return arr.astype(np.int64, copy=not (arr.dtype == np.int64 and arr.flags.owndata))

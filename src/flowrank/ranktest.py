@@ -46,7 +46,8 @@ class CensoredSeries:
     """Per-key series (x(t), observed(t)).
 
     A cleared `observed` flag marks a bin whose value is censored from
-    above: x(t) is then an upper bound for the true count.
+    above: x(t) is then an upper bound for the true count. Integer
+    values stay integers, so the test ranks them exactly.
     """
 
     key: int
@@ -54,12 +55,12 @@ class CensoredSeries:
     observed: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
+        x = np.array(self.x)  # a copy: the caller's array is not frozen below
         obs = np.asarray(self.observed, dtype=bool)
         if x.ndim != 1 or obs.shape != x.shape:
             raise ValueError("x and observed must be 1-d sequences of equal length")
-        if not np.isfinite(x).all():
-            raise ValueError("values must be finite")
+        if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
+            raise ValueError("values must be finite integers or floats")
         if x.size and x.min() < 0:
             raise ValueError("values must be nonnegative")
         x.setflags(write=False)
@@ -166,8 +167,8 @@ def _block(x: np.ndarray, observed: np.ndarray):
     """
     if x.shape[1] < 2:
         raise ValueError("need at least two bins")
-    if not np.isfinite(x).all():
-        raise ValueError("values must be finite")
+    if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
+        raise ValueError("values must be finite integers or floats")
     rows, bins = x.shape
     order = np.argsort(x, axis=1, kind="stable")
     xs = np.take_along_axis(x, order, axis=1)
@@ -197,8 +198,8 @@ def statistic_batch(x: np.ndarray, observed: Optional[np.ndarray] = None) -> Bat
 
     `observed` (same shape, default all set) flags the retained bins.
     Row i equals `statistic` on row i bit for bit. Rows go through in
-    blocks of `_BLOCK_ROWS`, each reduced to per-row results before the
-    next, so scratch memory does not grow with N.
+    blocks of `_BLOCK_ROWS` in the dtype given, each reduced to per-row
+    results before the next, so scratch memory does not grow with N.
     """
     x = np.asarray(x)
     _check_bins(x.shape[-1] if x.ndim == 2 else 0)  # before anything is allocated
@@ -209,7 +210,7 @@ def statistic_batch(x: np.ndarray, observed: Optional[np.ndarray] = None) -> Bat
     w_stat, change_bin, degenerate = np.zeros(n), np.ones(n, np.int64), np.zeros(n, bool)
     for lo in range(0, n, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        block = _block(np.asarray(x[rows], dtype=np.float64), observed[rows])
+        block = _block(x[rows], observed[rows])
         w_stat[rows], change_bin[rows], degenerate[rows] = block[2:]
     # a window repeats few statistics, so each distinct one gets one `pvalue` call
     distinct, where = np.unique(w_stat, return_inverse=True)

@@ -1,10 +1,10 @@
 """Record-filtering pipeline: per-bin top-M tables, candidate selection
 and censored-series construction feeding the rank test.
 
-Keeping only the M largest counts of each bin bounds per-window memory
-by an M x P table. A key outside a bin's top set has its value censored
-from above by the smallest retained count of that bin, which is exactly
-the information the filtering preserves.
+Filtering keeps the M largest counts of each bin, an M x P table, and
+censors a key outside a bin's top set from above by that bin's smallest
+retained count: exactly the information the table preserves. This
+implementation still holds the whole N x P window it builds them from.
 
 The tables (`TopTable`) and the candidates are batch row indices, as
 HashRank's `SketchTable.buckets` are; keys appear only in the `Scores`.

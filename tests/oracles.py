@@ -69,7 +69,7 @@ def cube_statistic(x, observed):
     each row at once, then forms the paths as the kernel does. Returns
     u, s_path, w, change_bin (1-based) and degenerate as row arrays.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     observed = np.asarray(observed, dtype=bool)
     above = (x[:, :, None] > x[:, None, :]) & observed[:, :, None]
     below = (x[:, :, None] < x[:, None, :]) & observed[:, None, :]

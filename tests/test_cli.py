@@ -183,6 +183,7 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
         ["simulate", "--pareto-scale", "inf"],
         # dense input is read whole: there is no skip policy
         ["detect", "--format", "dense", "--errors", "skip"],
+        ["detect", "--format", "dense", "--metric", "udp"],
         # count options are checked before any input is read
         ["detect", "--budget", "0"],
         ["detect", "--method", "hashrank", "--rows", "0"],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -164,6 +166,12 @@ def test_info_sum_target_closed_form():
     assert info_sum_target(D33, 1.0, 10) == pytest.approx(0.25 * 28.0 / 10.0)
 
 
+def test_info_sum_target_validates_arguments():
+    for theta, dim in ((0.0, 10), (1.5, 10), (0.5, 1)):
+        with pytest.raises(ValueError):
+            info_sum_target(D33, theta, dim)
+
+
 def test_info_sum_target_halves_when_dim_doubles():
     assert info_sum_target(D33, 0.5, 128) == pytest.approx(
         info_sum_target(D33, 0.5, 64) / 2.0
@@ -252,17 +260,26 @@ def test_estimate_info_sum_matches_analytic_score_route():
     assert est.value == pytest.approx(j_analytic, rel=2e-3)
 
 
-def test_estimate_info_sum_raises_on_ringing_grid(monkeypatch):
-    ringing = None
-
+@pytest.mark.parametrize("scale, match", [
+    (0.96, "total mass"),  # every entry stays positive, the total falls 2%
+    (-1.0, "negative density mass"),  # half the mass turns negative
+])
+def test_estimate_info_sum_raises_on_ringing_grid(monkeypatch, scale, match):
     def fake_pmf(d, theta_scaled, base_power, xs, grid_n):
         out = np.full(grid_n, 1.0 / grid_n)
-        out[::2] -= 2e-6  # inject alternating negative mass
+        out[::2] *= scale  # alternating ringing
         return out
 
     monkeypatch.setattr(fisher_mod, "_sum_density_pmf", fake_pmf)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ResolutionError, match=match):
         estimate_info_sum(D33, 0.5, 64, grid_n=1 << 14)
+
+
+def test_estimate_info_sum_raises_when_the_scaled_component_misses_the_grid():
+    # supported on [2, 3]: the base grid [0, 3) holds it, the scaled one theta * [0, 3) does not
+    shifted = dataclasses.replace(D33, pdf=lambda x: D33.pdf(np.asarray(x) - 2.0))
+    with pytest.raises(ResolutionError, match="scaled component has no mass"):
+        estimate_info_sum(shifted, 0.5, 2, grid_n=1 << 14)
 
 
 def test_max_info_stays_order_one_while_sum_info_shrinks():

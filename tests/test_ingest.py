@@ -85,6 +85,8 @@ def test_iter_flow_csv_skip_policy():
     src = csv_of([flow_line(0.0), "garbage,line"])
     with pytest.raises(ParseError):
         list(iter_flow_csv(src, errors="raise"))
+    with pytest.raises(ValueError, match='errors must be "raise" or "skip"'):
+        read_flow_csv(csv_of([flow_line(0.0)]), errors="bogus")
 
 
 @pytest.mark.parametrize("bad_ts", ["nan", "inf", "-inf", "1e300"])

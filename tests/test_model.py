@@ -125,22 +125,30 @@ def test_window_batch_counts_are_frozen_and_validated():
     with pytest.raises(ValueError):
         WindowBatch(0, 0.0, [1], bad)
     assert bad.flags.writeable
-    # integral floats are accepted and stored as integers
-    floats = WindowBatch(0, 0.0, [1.0, 2.0], [[1.0, 2.0], [0.0, 4.0]])
-    assert floats.counts.dtype == floats.keys.dtype == np.int64
-    assert floats.counts.tolist() == [[1, 2], [0, 4]]
-    for bad in ([[1, -1]], [[1.5, 2.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[2.0**63, 1.0]]):
-        with pytest.raises(ValueError):
+    # integers of any width that fit int64 are accepted; floats, even integral
+    # ones, bools, objects and unsigned values above 2^63 - 1 are not
+    wide = np.array([2**63 - 2, 2**63 - 1], np.uint64)
+    batch = WindowBatch(0, 0.0, wide, np.ones((2, 2), np.uint8))
+    assert batch.keys.tolist() == wide.tolist() and batch.counts.dtype == np.int64
+    empty = WindowBatch(0, 0.0, [], np.zeros((0, 3), dtype=np.int64))
+    assert empty.keys.dtype == np.int64 and empty.num_keys == 0
+    for bad in ([[1.0, 2.0]], [[1.5, 2.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[2.0**63, 1.0]],
+                [[True, False]], np.array([[1, 2**63]], np.uint64), [[2**64, 1]],
+                np.array([[1, 2]], dtype=object)):
+        with pytest.raises(ValueError, match="bin counts must be integers that fit 64 bits"):
             WindowBatch(0, 0.0, [1], bad)
+    for keys in ([1.0, 2.0], np.array([2**63 + 1, 2**63 + 2], np.uint64), [2**64], [1, 2**64]):
+        with pytest.raises(ValueError, match="keys must be integers that fit 64 bits"):
+            WindowBatch(0, 0.0, keys, np.ones((len(keys), 2), dtype=np.int64))
 
 
 def test_window_batch_checks_keys_and_shape():
-    for keys in ([2, 1], [1, 1], [[1, 2]], [1.5, 2.0]):
-        with pytest.raises(ValueError):
-            WindowBatch(0, 0.0, keys, np.zeros((2, 3)))
-    for counts in (np.zeros((2, 3)), np.zeros((1, 0)), np.zeros(3), np.zeros((1, 3, 1))):
-        with pytest.raises(ValueError):
-            WindowBatch(0, 0.0, [5], counts)
+    for keys in ([2, 1], [1, 1], [[1, 2]]):
+        with pytest.raises(ValueError, match="keys must be"):
+            WindowBatch(0, 0.0, keys, np.zeros((2, 3), dtype=np.int64))
+    for shape in ((2, 3), (1, 0), (3,), (1, 3, 1)):
+        with pytest.raises(ValueError, match="counts must be N x P"):
+            WindowBatch(0, 0.0, [5], np.zeros(shape, dtype=np.int64))
     batch = WindowBatch(0, 0.0, [5], [[1, 0]])
     assert (batch.num_keys, batch.bins) == (1, 2)
     empty = WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))

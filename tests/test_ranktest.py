@@ -154,6 +154,11 @@ def kernel_cases(rng):
         ("near 2^32", near, rng.random((200, 10)) < 0.7),
         ("near 2^32, exp", np.exp(near / 2**28), rng.random((200, 10)) < 0.7),
     ]
+    # float64 ties 2^53 and 2^53 + 1; the kernel ranks int64 rows exactly
+    big = 2**53 + np.array([0, 1, 3])[rng.integers(0, 3, (100, 12))]
+    big[0] = 2**53 + np.array([0, 1] * 4 + [3] * 4)
+    cases += [("above 2^53", big, rng.random((100, 12)) < 0.7),
+              ("above 2^53, uncensored", big, np.ones((100, 12), dtype=bool))]
     rows = 2 * ranktest._BLOCK_ROWS + 37  # three kernel blocks, the last partial
     cases.append(("several blocks", rng.poisson(2.0, (rows, 12)), rng.random((rows, 12)) < 0.8))
     return cases
@@ -186,6 +191,24 @@ def test_statistic_batch_empty_and_shape_checks():
         statistic_batch(np.zeros((3, 1)))
     with pytest.raises(ValueError):
         statistic_batch(np.zeros((3, 4)), np.ones((3, 5), dtype=bool))
+
+
+@pytest.mark.parametrize("x, observed, match", [
+    ([1, 2, 3], [1, 1], "equal length"),
+    ([[1, 2]], [[1, 1]], "equal length"),
+    ([1, -1, 3], [1, 1, 1], "nonnegative"),
+    ([True, False], [1, 1], "integers or floats"),
+])
+def test_censored_series_rejects_bad_series(x, observed, match):
+    with pytest.raises(ValueError, match=match):
+        CensoredSeries(1, x, observed)
+
+
+def test_censored_series_keeps_a_frozen_copy_in_the_given_dtype():
+    for x in (np.arange(3), np.arange(3.0)):
+        series = CensoredSeries(1, x, [1, 1, 1])
+        assert series.x.dtype == x.dtype and not series.x.flags.writeable
+        assert x.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

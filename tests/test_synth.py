@@ -93,6 +93,8 @@ def test_generate_intensity_quantiles_track_inverse_cdf():
 def test_generate_validates_config():
     with pytest.raises(ValueError):
         SynthConfig(dim=10, change_rank=11)
+    with pytest.raises(ValueError, match="dim must be nonnegative"):
+        SynthConfig(dim=-1)
     # a spawn key is one uint32 word, and the seed's words need a nonnegative integer
     with pytest.raises(ValueError):
         SynthConfig(dim=2**32)
@@ -210,7 +212,8 @@ def test_dense_csv_round_trip():
 
 
 def test_dense_csv_sums_duplicate_lines_and_drops_zero_keys():
-    text = "key,bin,count\n7,2,3\n-4,1,0\n7,2,5\n2,3,1\n7,1,1\n9,1,0\n-4,3,0\n"
+    # blank lines are skipped
+    text = "key,bin,count\n7,2,3\n\n-4,1,0\n7,2,5\n  \n2,3,1\n7,1,1\n9,1,0\n-4,3,0\n"
     batch, truth = read_dense_csv(io.StringIO(text), bins=3)
     assert truth is None and batch.bins == 3
     assert batch.keys.tolist() == [2, 7]
@@ -226,9 +229,11 @@ def test_dense_csv_validation():
         read_dense_csv(io.StringIO("key,bin,count\n1,0,5\n"), bins=10)
     with pytest.raises(ValueError):
         read_dense_csv(io.StringIO("key,bin,count\n1,12,5\n"), bins=10)
+    with pytest.raises(ValueError, match="missing header"):
+        read_dense_csv(io.StringIO("# a comment\n\n# truth:i0=1,j0=2,eta=3\n"), bins=10)
 
 
-@pytest.mark.parametrize("row", ["1,2,100000000000000000000", "1,2,4294967296", "1,x,5",
+@pytest.mark.parametrize("row", ["1,2,100000000000000000000", "1,2,4294967296", "1,x,5", "1,2",
                                  "1,2,1e3", "99999999999999999999,2,5",
                                  # truth lines: a missing key, a pair without '=', a non-number
                                  "# truth:a=1", "# truth:garbage", "# truth:i0=1,j0=x,eta=2"])

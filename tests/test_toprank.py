@@ -109,6 +109,13 @@ def test_candidates_budget_single():
     assert candidates_budget(leaders_tops(), 1).tolist() == [0]
 
 
+def test_candidates_need_a_positive_depth_and_budget():
+    with pytest.raises(ValueError, match="keep_mprime"):
+        candidates(leaders_tops(), 0)
+    with pytest.raises(ValueError, match="budget"):
+        candidates_budget(leaders_tops(), 0)
+
+
 def test_censor_fully_selected_key_is_uncensored():
     rng = np.random.default_rng(1)
     values = rng.integers(1, 30, 8)
