@@ -114,6 +114,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
             level_alpha=args.alpha,
             metric=_METRICS[args.metric],
         )
+        # the per-key scorer `roc` sweeps; `alarm_order` thresholds it
+        coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
+        score = scorer(method, cfg, args.budget, coeffs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.format == "dense":
@@ -127,9 +130,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
             columns = read_flow_csv(args.input, errors="skip", skipped=skipped)
             _report_skipped(skipped)
         batches = split_windows(columns, cfg)
-    # the per-key scorer `roc` sweeps; `alarm_order` thresholds it
-    coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
-    score = scorer(method, cfg, args.budget, coeffs)
     rows = []
     for batch in batches:
         scores = score(batch)

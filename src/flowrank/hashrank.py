@@ -36,8 +36,8 @@ class HashCoefficients:
 
     `a` is a read-only uint64[L, 4]: `a[l, j]` multiplies x^j in row
     l+1's cubic, whose evaluation is exact modulo the Mersenne prime.
-    Every row shares the one `k_buckets`. An all-zero row is legal (the
-    uniform draw does not exclude it), merely useless.
+    Every row shares the one `k_buckets`, from 2 to p. An all-zero row
+    is legal (the uniform draw does not exclude it), merely useless.
     """
 
     a: np.ndarray
@@ -51,8 +51,9 @@ class HashCoefficients:
             raise ValueError("coefficients must be L x 4, with L >= 1")
         if a.min() < 0 or a.max() >= MERSENNE_PRIME:
             raise ValueError("coefficients must lie in [0, p-1]")
-        if self.k_buckets < 2:
-            raise ValueError("need at least two buckets")
+        # hash values lie below p, so a bucket past p is never hit
+        if not 2 <= self.k_buckets <= MERSENNE_PRIME:
+            raise ValueError("need 2 to 2^61 - 1 buckets")
         a = a.astype(np.uint64)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)

@@ -55,8 +55,8 @@ class CensoredSeries:
     observed: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.array(self.x)  # a copy: the caller's array is not frozen below
-        obs = np.asarray(self.observed, dtype=bool)
+        # copies: the caller's arrays are not frozen below
+        x, obs = np.array(self.x), np.array(self.observed, dtype=bool)
         if x.ndim != 1 or obs.shape != x.shape:
             raise ValueError("x and observed must be 1-d sequences of equal length")
         if x.dtype.kind not in "iuf" or not np.isfinite(x).all():

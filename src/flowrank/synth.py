@@ -89,7 +89,10 @@ def sample_pareto(
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0) or np.any(u >= 1):
         raise ValueError("u must lie in [0, 1)")
-    out = ((1.0 - u) ** (-1.0 / shape) - 1.0) / scale
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned about
+        out = ((1.0 - u) ** (-1.0 / shape) - 1.0) / scale
+    if not np.isfinite(out).all():
+        raise ValueError("Pareto intensities overflow float64: the scale is too small")
     return float(out) if out.ndim == 0 else out
 
 

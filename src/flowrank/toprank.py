@@ -62,34 +62,17 @@ def top_filter(batch: WindowBatch, cfg: WindowConfig) -> TopTable:
     return TopTable(rows=rows, censor_bound=bound)
 
 
-def _first_appearances(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows (-1 aside) of a table slice, in C order of first appearance."""
-    flat = rows.ravel()
-    distinct, first = np.unique(flat[flat >= 0], return_index=True)
-    return distinct[np.argsort(first)]
-
-
-def candidates(table: TopTable, keep_mprime: int) -> np.ndarray:
-    """Rows holding one of the top `keep_mprime` ranks in some bin.
-
-    Ordered by first appearance, scanning bins in time order and ranks
-    within each bin.
-    """
-    if keep_mprime < 1:
-        raise ValueError("keep_mprime must be at least 1")
-    return _first_appearances(table.rows[:, :keep_mprime])
-
-
-def candidates_budget(table: TopTable, n: int) -> np.ndarray:
-    """First `n` distinct rows in rank-major traversal of the top tables.
-
-    The traversal visits every bin's rank-1 row, then every bin's rank-2
-    row, and so on; it is the fixed-budget candidate rule used when the
-    number of tested series must match another method's.
-    """
-    if n < 1:
+def candidates(table: TopTable, depth: int, budget: Optional[int] = None) -> np.ndarray:
+    """The first `budget` distinct rows (all of them when None) of the
+    tables' top `depth` ranks, in rank-major order: every bin's rank-1
+    row in time order, then every bin's rank-2 row, and so on."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    return _first_appearances(table.rows.T)[:n]
+    flat = table.rows[:, :depth].T.ravel()
+    distinct, first = np.unique(flat[flat >= 0], return_index=True)
+    return distinct[np.argsort(first)][:budget]
 
 
 def censor(
@@ -105,13 +88,11 @@ def censor(
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     if rows.size and not 0 <= rows.min() <= rows.max() < batch.num_keys:
         raise ValueError(f"rows must lie in 0..{batch.num_keys - 1}")
-    # slot of every batch row among `rows`, C for the rest; the extra
-    # last entry is where a table's -1 (no entry) looks up
-    slot = np.full(batch.num_keys + 1, rows.size, dtype=np.intp)
-    slot[rows] = np.arange(rows.size)
-    observed = np.zeros((rows.size + 1, batch.bins), dtype=bool)
-    observed[slot[table.rows], np.arange(batch.bins)[:, None]] = True
-    observed = observed[:-1]
+    # kept[r, t]: batch row r is retained in bin t+1; a table's -1 (no
+    # entry) lands on the spare last row
+    kept = np.zeros((batch.num_keys + 1, batch.bins), dtype=bool)
+    kept[table.rows, np.arange(batch.bins)[:, None]] = True
+    observed = kept[rows]
     return np.where(observed, batch.counts[rows], table.censor_bound), observed
 
 
@@ -122,14 +103,12 @@ def score_window(
 ) -> Scores:
     """Filter, censor and test one window; untested keys score `NEVER_TESTED`.
 
-    With `budget` set, candidates come from the fixed-budget rank-major
-    rule instead of the keep_mprime union.
+    Candidates are every row of the top `keep_mprime` ranks or, with
+    `budget` set, the first `budget` rows of all `top_m` ranks.
     """
     table = top_filter(batch, cfg)
-    if budget is None:
-        rows = candidates(table, cfg.keep_mprime)
-    else:
-        rows = candidates_budget(table, budget)
+    depth = cfg.keep_mprime if budget is None else cfg.top_m
+    rows = candidates(table, depth, budget)
     out = statistic_batch(*censor(batch, table, rows))
     n = batch.num_keys
     p_value, stat, change_bin = np.full(n, NEVER_TESTED), np.zeros(n), np.zeros(n, np.int64)

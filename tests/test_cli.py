@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import generate as oracle_generate
 
 import flowrank
@@ -188,6 +192,11 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
         ["detect", "--budget", "0"],
         ["detect", "--method", "hashrank", "--rows", "0"],
         ["detect", "--method", "hashrank", "--buckets", "1"],
+        # sketch sizes no hash or array can hold are option faults, not data errors
+        ["detect", "--method", "hashrank", "--buckets", "100000000000000000000"],
+        ["detect", "--method", "hashrank", "--buckets", "9223372036854775807"],
+        ["detect", "--method", "hashrank", "--rows", "100000000000000000000"],
+        ["roc", "--method", "hashrank", "--buckets", "100000000000000000000"],
         ["roc", "--runs", "0"],
         ["roc", "--threads", "0"],
         ["detect", "--seed", "-1"],
@@ -268,6 +277,71 @@ def test_value_fault_without_input_is_a_usage_error(tmp_path, capsys, command):
         assert code == 1, err
         assert len(err.splitlines()) == 1 and err.startswith("flowrank: error: "), err
         assert list(out.parent.iterdir()) == []
+
+
+# every numeric option of `detect` and `roc`, and the values drawn for it
+OPTION_VALUES = ("0", "-1", "1", "2", str(2**31), str(2**63), str(10**20),
+                 "nan", "inf", "-inf", "1e-320", "1e300", "", "x")
+NUMERIC_OPTIONS = {
+    "detect": ("--delta", "--window", "--top", "--keep", "--alpha", "--budget",
+               "--rows", "--buckets", "--seed"),
+    "roc": ("--runs", "--dim", "--bins", "--change-at", "--factor", "--target-rank",
+            "--pareto-shape", "--pareto-scale", "--seed", "--budget", "--top", "--rows",
+            "--buckets", "--threads"),
+}
+# a work-size value the program accepts is allocated for, so these options draw only
+# small valid values, values <= 0, values >= 2^63 or non-numbers; `roc` draws every
+# run's hash coefficients before the first run, so --runs draws no huge value at all
+WORK_SIZE = ("--rows", "--buckets", "--runs", "--dim", "--bins", "--window")
+
+
+def drawn_values(option):
+    huge = {str(2**31)} | ({str(2**63), str(10**20)} if option == "--runs" else set())
+    return [v for v in OPTION_VALUES if option not in WORK_SIZE or v not in huge]
+
+
+@st.composite
+def option_argv(draw):
+    command = draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    option = draw(st.sampled_from(NUMERIC_OPTIONS[command]))
+    method = ["--method", draw(st.sampled_from(sorted(cli._METHODS)))] if command == "detect" else []
+    return [command, *method, option, draw(st.sampled_from(drawn_values(option)))]
+
+
+@pytest.fixture(scope="module")
+def tiny_flows(tmp_path_factory):
+    path = tmp_path_factory.mktemp("options") / "flows.csv"
+    lines = [f"{i}.0,{i}.1,5{i},100,1234,80,TCP,3,1,1,1,0" for i in range(8)]
+    path.write_text("\n".join([FLOW_HEADER, *lines]) + "\n", encoding="utf-8")
+    (path.parent / "out").mkdir()
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(option_argv())
+@example(["detect", "--method", "hashrank", "--buckets", str(10**20)])
+@example(["roc", "--buckets", str(10**20)])
+def test_any_option_value_exits_0_1_or_2_with_a_flowrank_line(tiny_flows, argv):
+    out_dir = tiny_flows.parent / "out"
+    for stale in out_dir.iterdir():
+        stale.unlink()
+    # the drawn option comes last, so it overrides a fixed one
+    fixed = {
+        "detect": ["--input", str(tiny_flows), "--window", "4"],
+        "roc": ["--runs", "1", "--dim", "20", "--target-rank", "2"],
+    }[argv[0]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main([argv[0], *fixed, *argv[1:], "--output", str(out_dir / "out.csv")])
+        except SystemExit as stop:  # argparse rejects a value its type cannot convert
+            code = stop.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    if code:
+        assert err.splitlines()[-1].startswith("flowrank"), (argv, err)
+    if code == 1:
+        assert list(out_dir.iterdir()) == [], argv
 
 
 SMALL_RUNS = {

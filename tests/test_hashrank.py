@@ -81,9 +81,12 @@ def test_coefficients_validated():
         ([[0, 0, 0, MERSENNE_PRIME]], 17),  # an entry equal to p
         ([[0, -1, 0, 0]], 17),  # a negative entry
         ([[0, 0, 0, 0]], 1),  # K = 1
+        ([[0, 0, 0, 0]], MERSENNE_PRIME + 1),  # K past p: hash values lie below p
+        ([[0, 0, 0, 0]], 10**20),  # K past uint64
     ):
         with pytest.raises(ValueError):
             HashCoefficients(a, k_buckets)
+    assert HashCoefficients([[0, 0, 0, 0]], MERSENNE_PRIME).k_buckets == MERSENNE_PRIME
 
 
 def test_hash_coefficients_are_a_read_only_uint64_copy():

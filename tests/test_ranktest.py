@@ -206,9 +206,14 @@ def test_censored_series_rejects_bad_series(x, observed, match):
 
 def test_censored_series_keeps_a_frozen_copy_in_the_given_dtype():
     for x in (np.arange(3), np.arange(3.0)):
-        series = CensoredSeries(1, x, [1, 1, 1])
+        observed = np.array([True, False, True])
+        series = CensoredSeries(1, x, observed)
         assert series.x.dtype == x.dtype and not series.x.flags.writeable
-        assert x.flags.writeable
+        assert not series.observed.flags.writeable
+        # the caller's arrays stay writeable, and writing to them leaves the series as it was
+        assert x.flags.writeable and observed.flags.writeable
+        x[0], observed[0] = 9, False
+        assert series.x.tolist() == [0, 1, 2] and series.observed.tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,11 @@ def test_pareto_vectorized_and_validated():
         sample_pareto(1.0, 2.5, 0.72)
     with pytest.raises(ValueError):
         sample_pareto(-0.1, 2.5, 0.72)
+    # a subnormal scale overflows the division: an error, not a warning and inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            sample_pareto(u, 2.5, 1e-320)
 
 
 def test_generate_deterministic_in_seed():

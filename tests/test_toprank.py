@@ -16,7 +16,6 @@ from flowrank.synth import SynthConfig, generate
 from flowrank.toprank import (
     TopTable,
     candidates,
-    candidates_budget,
     censor,
     score_window,
     top_filter,
@@ -88,32 +87,33 @@ def test_candidates_union_of_leaders():
 
 
 def test_candidates_full_depth_covers_all_entries():
-    assert candidates(leaders_tops(), 2).tolist() == [0, 2, 1, 3]
+    # rank-major: the leaders A, B, then the second ranks C, D
+    assert candidates(leaders_tops(), 2).tolist() == [0, 1, 2, 3]
 
 
 def test_candidates_empty_tops():
     empty = TopTable(rows=np.full((1, 2), -1), censor_bound=np.zeros(1, dtype=np.int64))
     assert candidates(empty, 1).tolist() == []
-    assert candidates_budget(empty, 5).tolist() == []
+    assert candidates(empty, 2, 5).tolist() == []
 
 
 def test_candidates_budget_rank_major_traversal():
-    assert candidates_budget(leaders_tops(), 3).tolist() == [0, 1, 2]
+    assert candidates(leaders_tops(), 2, 3).tolist() == [0, 1, 2]
 
 
 def test_candidates_budget_exhausts_distinct_keys():
-    assert candidates_budget(leaders_tops(), 99).tolist() == [0, 1, 2, 3]
+    assert candidates(leaders_tops(), 2, 99).tolist() == [0, 1, 2, 3]
 
 
 def test_candidates_budget_single():
-    assert candidates_budget(leaders_tops(), 1).tolist() == [0]
+    assert candidates(leaders_tops(), 2, 1).tolist() == [0]
 
 
 def test_candidates_need_a_positive_depth_and_budget():
-    with pytest.raises(ValueError, match="keep_mprime"):
+    with pytest.raises(ValueError, match="depth must be at least 1"):
         candidates(leaders_tops(), 0)
-    with pytest.raises(ValueError, match="budget"):
-        candidates_budget(leaders_tops(), 0)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        candidates(leaders_tops(), 2, 0)
 
 
 def test_censor_fully_selected_key_is_uncensored():
@@ -226,7 +226,7 @@ def test_run_window_budget_counts_tested_series():
     batch = generate(cfg)
     wcfg = WindowConfig(bins_per_window=60, top_m=50, keep_mprime=1, level_alpha=1e-3)
     table = top_filter(batch, wcfg)
-    assert len(candidates_budget(table, 136)) == 136
+    assert len(candidates(table, wcfg.top_m, 136)) == 136
     scores = score_window(batch, wcfg, budget=136)
     assert (scores.p_alarm != NEVER_TESTED).sum() == 136
     assert alarm_order(scores, wcfg.level_alpha).size <= 136
@@ -253,10 +253,13 @@ def test_tables_candidates_and_scores_match_the_tuple_oracle():
         budgets = [*(int(b) for b in rng.integers(1, 80, 2)), batch.num_keys + 1]
         for keep, budget in [*((k, None) for k in range(1, top_m + 1)), *((1, b) for b in budgets)]:
             cfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=keep)
+            rows = candidates(table, keep if budget is None else top_m, budget)
             if budget is None:
-                rows, want = candidates(table, keep), top_candidates(tables, keep)
+                # rank-major over the top `keep` ranks; the same set as the bin-major rule
+                want = top_candidates_budget([(e[:keep], b) for e, b in tables], batch.num_keys)
+                assert set(want) == set(top_candidates(tables, keep))
             else:
-                rows, want = candidates_budget(table, budget), top_candidates_budget(tables, budget)
+                want = top_candidates_budget(tables, budget)
             assert batch.keys[rows].tolist() == want
             x, observed = censor(batch, table, rows)
             want_x, want_observed = top_censor(tables, want)
