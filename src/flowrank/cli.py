@@ -165,6 +165,7 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
+    _require_at_least(args, threads=1)
     methods = list(DetectionMethod) if args.method == "all" else [_METHODS[args.method]]
     thresholds = (
         _parse_list(args.thresholds, float, "thresholds")
@@ -180,7 +181,6 @@ def cmd_roc(args: argparse.Namespace) -> int:
         top_m=args.top,
         l_rows=args.rows,
         k_buckets=args.buckets,
-        threads=args.threads,
     )
     lines = [f"{p.method.value},{p.threshold:.6g},{p.fa_rate:.6g},{p.det_rate:.6g}" for p in points]
     # random-classifier reference line (detects like it false-alarms)
@@ -274,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--rows", type=int, default=8)
     r.add_argument("--buckets", type=int, default=17)
     r.add_argument("--thresholds", default=None, help="comma-separated p-value grid")
-    r.add_argument("--threads", type=int, default=1)
+    r.add_argument(
+        "--threads", type=int, default=1,
+        help="no effect: runs go in order on one thread; kept so old command lines still run",
+    )
     r.set_defaults(func=cmd_roc)
 
     f = sub.add_parser("fisher", help="information study of max vs sum reduction")

@@ -8,14 +8,14 @@ injected change and scores it with every method asked for; sweeping a
 decision threshold over the alarm p-values then yields each method's
 false-alarm and detection rates, averaged over runs.
 Runs are seeded individually (data with base+run, hash coefficients
-with base+HASH_SEED_OFFSET+run) and run on a pool of `threads` threads
-with results taken in run order, so results are reproducible and
-independent of the thread count.
+with base+HASH_SEED_OFFSET+run) and run one after another on the calling
+thread, in run order. Each run adds its rates into running sums, so
+memory does not grow with the number of runs. The runs hold the GIL, so
+threads would not overlap them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -84,7 +84,6 @@ def roc(
     top_m: int = 50,
     l_rows: int = 8,
     k_buckets: int = 17,
-    threads: int = 1,
 ) -> list[RocPoint]:
     """ROC curves of `methods` over fresh Monte Carlo datasets.
 
@@ -94,14 +93,12 @@ def roc(
     record-filtering method runs budget-matched: it tests exactly
     `budget` candidate series per window (the sketch method's cell
     count), using `top_m` as the filtering depth. Every argument is
-    checked before the first run.
+    checked before any data is drawn.
     """
     if not methods or not all(isinstance(m, DetectionMethod) for m in methods):
         raise ValueError("methods must be one or more DetectionMethod values")
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if cfg.dim < 1:
@@ -110,25 +107,21 @@ def roc(
     thr_arr = np.asarray(thr)
     # metric, window length and alpha are irrelevant: only the scores are swept
     wcfg = WindowConfig(top_m=top_m)
-    coeffs = [
-        sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets) for r in range(runs)
-    ]
     # `generate` puts key i at row i - 1
     at = cfg.change_rank - 1
-
-    def one_run(r: int) -> tuple[np.ndarray, np.ndarray]:
+    fa_sum = np.zeros((len(methods), len(thr)))
+    det_sum = np.zeros((len(methods), len(thr)))
+    for r in range(runs):
+        # drawn before the data, so run 0 rejects bad sketch sizes before any draw
+        coeffs = sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets)
         batch = generate(replace(cfg, seed=cfg.seed + r))
-        p_alarm = np.stack([scorer(m, wcfg, budget, coeffs[r])(batch).p_alarm for m in methods])
-        det = (p_alarm[:, at, None] < thr_arr).astype(np.float64)
+        p_alarm = np.stack([scorer(m, wcfg, budget, coeffs)(batch).p_alarm for m in methods])
+        det_sum += p_alarm[:, at, None] < thr_arr
         others = np.delete(p_alarm, at, axis=1)
         # a one-key window has no other keys and so no false alarms
-        fa = (others[:, :, None] < thr_arr).sum(axis=1) / max(others.shape[1], 1)
-        return fa, det
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one_run, range(runs)))
-    fa_mean = np.mean([fa for fa, _ in results], axis=0)
-    det_mean = np.mean([det for _, det in results], axis=0)
+        fa_sum += (others[:, :, None] < thr_arr).sum(axis=1) / max(others.shape[1], 1)
+    fa_mean = fa_sum / runs
+    det_mean = det_sum / runs
     return [
         RocPoint(method, threshold=t, fa_rate=float(fa), det_rate=float(det))
         for method, fa_row, det_row in zip(methods, fa_mean, det_mean)

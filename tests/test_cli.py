@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -279,20 +280,23 @@ def test_value_fault_without_input_is_a_usage_error(tmp_path, capsys, command):
         assert list(out.parent.iterdir()) == []
 
 
-# every numeric option of `detect` and `roc`, and the values drawn for it
+# every numeric option of each command, and the values drawn for it
 OPTION_VALUES = ("0", "-1", "1", "2", str(2**31), str(2**63), str(10**20),
                  "nan", "inf", "-inf", "1e-320", "1e300", "", "x")
+SYNTH_OPTIONS = ("--dim", "--bins", "--change-at", "--factor", "--target-rank",
+                 "--pareto-shape", "--pareto-scale", "--seed")
 NUMERIC_OPTIONS = {
     "detect": ("--delta", "--window", "--top", "--keep", "--alpha", "--budget",
                "--rows", "--buckets", "--seed"),
-    "roc": ("--runs", "--dim", "--bins", "--change-at", "--factor", "--target-rank",
-            "--pareto-shape", "--pareto-scale", "--seed", "--budget", "--top", "--rows",
-            "--buckets", "--threads"),
+    "simulate": SYNTH_OPTIONS,
+    "roc": ("--runs", *SYNTH_OPTIONS, "--budget", "--top", "--rows", "--buckets", "--threads"),
+    "fisher": ("--theta", "--dims", "--mc", "--grid", "--dtheta-frac", "--seed"),
 }
 # a work-size value the program accepts is allocated for, so these options draw only
-# small valid values, values <= 0, values >= 2^63 or non-numbers; `roc` draws every
-# run's hash coefficients before the first run, so --runs draws no huge value at all
-WORK_SIZE = ("--rows", "--buckets", "--runs", "--dim", "--bins", "--window")
+# small valid values, values <= 0, values >= 2^63 or non-numbers; `roc` keeps its
+# memory bounded, but a huge --runs runs for ever, so --runs draws no huge value at all
+WORK_SIZE = ("--rows", "--buckets", "--runs", "--dim", "--bins", "--window", "--mc", "--grid",
+             "--dims")
 
 
 def drawn_values(option):
@@ -328,7 +332,9 @@ def test_any_option_value_exits_0_1_or_2_with_a_flowrank_line(tiny_flows, argv):
     # the drawn option comes last, so it overrides a fixed one
     fixed = {
         "detect": ["--input", str(tiny_flows), "--window", "4"],
+        "simulate": ["--dim", "20", "--target-rank", "2"],
         "roc": ["--runs", "1", "--dim", "20", "--target-rank", "2"],
+        "fisher": ["--dims", "4", "--mc", "1000", "--grid", "16384"],
     }[argv[0]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -611,6 +617,49 @@ def test_roc_reruns_byte_identical(tmp_path):
     assert main(base + ["--output", str(out_a)]) == 0
     assert main(base + ["--output", str(out_b), "--threads", "4"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# `roc --method all` at a tiny config; a 2 x 4 sketch makes HashRank's rates depend on
+# each run's hash coefficients
+ROC_PINNED = """\
+method,threshold,fa_rate,det_rate
+toprank,0.001,0,0
+toprank,0.01,0,0
+toprank,0.1,0,1
+toprank,0.5,0.045977,1
+hashrank,0.001,0,0
+hashrank,0.01,0,0
+hashrank,0.1,0.091954,1
+hashrank,0.5,0.298851,1
+full,0.001,0,0
+full,0.01,0,0
+full,0.1,0.0574713,1
+full,0.5,0.298851,1
+random,0.001,0.001,0.001
+random,0.01,0.01,0.01
+random,0.1,0.1,0.1
+random,0.5,0.5,0.5
+"""
+
+
+def test_roc_all_writes_the_pinned_curves(tmp_path):
+    out = tmp_path / "roc.csv"
+    argv = ["roc", "--runs", "3", "--dim", "30", "--bins", "12", "--change-at", "6",
+            "--factor", "4", "--target-rank", "3", "--budget", "8", "--top", "4", "--rows", "2",
+            "--buckets", "4", "--thresholds", "0.001,0.01,0.1,0.5", "--seed", "5"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_text() == ROC_PINNED
+
+
+def test_roc_starts_no_thread(tmp_path, monkeypatch):
+    def no_start(self):
+        raise AssertionError("roc started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    out = tmp_path / "roc.csv"
+    argv = ["roc", "--runs", "2", "--dim", "30", "--bins", "12", "--change-at", "6",
+            "--target-rank", "3", "--budget", "8", "--top", "4", "--threads", "4"]
+    assert main(argv + ["--output", str(out)]) == 0
 
 
 def test_fisher_emits_estimates_with_targets(tmp_path):
