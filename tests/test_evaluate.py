@@ -125,7 +125,8 @@ def test_roc_deterministic():
     assert a == b
 
 
-def test_roc_draws_each_dataset_once_for_every_method(monkeypatch):
+@pytest.mark.parametrize("runs", [1, 4])
+def test_roc_draws_each_dataset_once_for_every_method(runs, monkeypatch):
     seeds = []
 
     def counting_generate(cfg):
@@ -133,9 +134,9 @@ def test_roc_draws_each_dataset_once_for_every_method(monkeypatch):
         return generate(cfg)
 
     monkeypatch.setattr(evaluate, "generate", counting_generate)
-    kwargs = {"runs": 3, "budget": 24, "top_m": 10}
+    kwargs = {"runs": runs, "budget": 24, "top_m": 10}
     together = roc(small_cfg(4), *DetectionMethod, **kwargs)
-    assert seeds == [4, 5, 6]
+    assert seeds == list(range(4, 4 + runs))
     alone = [p for m in DetectionMethod for p in roc(small_cfg(4), m, **kwargs)]
     assert together == alone
     assert [p.method for p in together] == [m for m in DetectionMethod for _ in DEFAULT_THRESHOLDS]
