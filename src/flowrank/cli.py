@@ -35,8 +35,8 @@ _METHODS = {m.value: m for m in DetectionMethod}
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1 (argparse defaults to 2, reserved for data errors)
+    # and print one line, without the usage block
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -104,7 +104,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError("dense input is already binned; --metric must stay at its default")
     if args.format == "dense" and args.errors != "abort":
         raise UsageError("dense input has no skip policy; --errors must stay at its default")
-    _require_at_least(args, budget=1, rows=1, buckets=2, seed=0)
     try:
         cfg = WindowConfig(
             delta=args.delta,
@@ -113,23 +112,20 @@ def cmd_detect(args: argparse.Namespace) -> int:
             keep_mprime=args.keep,
             level_alpha=args.alpha,
             metric=_METRICS[args.metric],
+            budget=args.budget,
         )
         # the per-key scorer `roc` sweeps; `alarm_order` thresholds it
         coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
-        score = scorer(method, cfg, args.budget, coeffs)
+        score = scorer(method, cfg, coeffs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    skipped: Counter = Counter()
     if args.format == "dense":
         batch, _truth = read_dense_csv(args.input, args.window)
         batches = [batch]
     else:
-        if args.errors == "abort":
-            columns = read_flow_csv(args.input, errors="raise")
-        else:
-            skipped: Counter = Counter()
-            columns = read_flow_csv(args.input, errors="skip", skipped=skipped)
-            _report_skipped(skipped)
-        batches = split_windows(columns, cfg)
+        policy = "raise" if args.errors == "abort" else "skip"
+        batches = split_windows(read_flow_csv(args.input, errors=policy, skipped=skipped), cfg)
     rows = []
     for batch in batches:
         scores = score(batch)
@@ -141,7 +137,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 f"{p_value:.6g},{stat:.6g},{change_bin}"
             )
     header = "window,key,method,p_value,statistic,change_bin"
-    return _write_table(args, header, rows, "alarms", _namespace_params(args))
+    _write_table(args, header, rows, "alarms", _namespace_params(args))
+    if args.errors == "skip":
+        # only once the output is written, so a failure prints its own line alone
+        _report_skipped(skipped)
+    return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,16 +48,13 @@ def score_comprehensive(batch: WindowBatch) -> Scores:
 
 
 def scorer(
-    method: DetectionMethod,
-    cfg: WindowConfig,
-    budget: Optional[int],
-    coeffs: HashCoefficients,
+    method: DetectionMethod, cfg: WindowConfig, coeffs: HashCoefficients
 ) -> Callable[[WindowBatch], Scores]:
-    """The per-key scorer of `method`: TopRank filters with `cfg` (and
-    `budget`, if set), HashRank sketches with `coeffs`, Comprehensive
-    tests every key."""
+    """The per-key scorer of `method`: TopRank filters with `cfg`, its
+    candidate budget included, HashRank sketches with `coeffs`,
+    Comprehensive tests every key."""
     if method is DetectionMethod.TOPRANK:
-        return partial(toprank.score_window, cfg=cfg, budget=budget)
+        return partial(toprank.score_window, cfg=cfg)
     if method is DetectionMethod.HASHRANK:
         return partial(hashrank.score_window, coeffs=coeffs)
     if method is DetectionMethod.COMPREHENSIVE:
@@ -99,14 +96,12 @@ def roc(
         raise ValueError("methods must be one or more DetectionMethod values")
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    # metric, window length and alpha are irrelevant: only the scores are swept
+    wcfg = WindowConfig(top_m=top_m, budget=budget)
     if cfg.dim < 1:
         raise ValueError("the protocol needs at least one key")
     thr = check_thresholds(thresholds)
     thr_arr = np.asarray(thr)
-    # metric, window length and alpha are irrelevant: only the scores are swept
-    wcfg = WindowConfig(top_m=top_m)
     # `generate` puts key i at row i - 1
     at = cfg.change_rank - 1
     fa_sum = np.zeros((len(methods), len(thr)))
@@ -115,7 +110,7 @@ def roc(
         # drawn before the data, so run 0 rejects bad sketch sizes before any draw
         coeffs = sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets)
         batch = generate(replace(cfg, seed=cfg.seed + r))
-        p_alarm = np.stack([scorer(m, wcfg, budget, coeffs)(batch).p_alarm for m in methods])
+        p_alarm = np.stack([scorer(m, wcfg, coeffs)(batch).p_alarm for m in methods])
         det_sum += p_alarm[:, at, None] < thr_arr
         others = np.delete(p_alarm, at, axis=1)
         # a one-key window has no other keys and so no false alarms

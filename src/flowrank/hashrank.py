@@ -116,6 +116,8 @@ def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> HashCoefficie
     """Draw L independent coefficient rows, uniform over [0, p-1]^4."""
     if l_rows < 1:
         raise ValueError("need at least one row")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, MERSENNE_PRIME, size=(l_rows, 4), dtype=np.int64)
     return HashCoefficients(draws, k_buckets)

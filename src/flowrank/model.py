@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -71,8 +72,9 @@ class WindowConfig:
 
     A window spans `bins_per_window` consecutive bins of `delta`
     seconds. `top_m` is the per-bin record-filtering depth, of which the
-    top `keep_mprime` ranks select candidate keys; `level_alpha` is the
-    p-value threshold below which an alarm is raised.
+    top `keep_mprime` ranks select candidate keys or, with `budget` set,
+    all `top_m` ranks select the first `budget` distinct keys;
+    `level_alpha` is the p-value threshold below which an alarm is raised.
     """
 
     delta: float = 1.0
@@ -81,6 +83,7 @@ class WindowConfig:
     keep_mprime: int = 1
     level_alpha: float = 1e-3
     metric: MetricKind = MetricKind.SYN_FLOOD
+    budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0 < self.delta < math.inf:
@@ -95,6 +98,8 @@ class WindowConfig:
             raise ValueError("top_m must be at least 1")
         if not 1 <= self.keep_mprime <= self.top_m:
             raise ValueError("keep_mprime must be in 1..top_m")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be at least 1")
         if not 0.0 < self.level_alpha < 1.0:
             raise ValueError("level_alpha must be in (0, 1)")
 

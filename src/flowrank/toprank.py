@@ -96,19 +96,15 @@ def censor(
     return np.where(observed, batch.counts[rows], table.censor_bound), observed
 
 
-def score_window(
-    batch: WindowBatch,
-    cfg: WindowConfig,
-    budget: Optional[int] = None,
-) -> Scores:
+def score_window(batch: WindowBatch, cfg: WindowConfig) -> Scores:
     """Filter, censor and test one window; untested keys score `NEVER_TESTED`.
 
     Candidates are every row of the top `keep_mprime` ranks or, with
-    `budget` set, the first `budget` rows of all `top_m` ranks.
+    `cfg.budget` set, the first `budget` rows of all `top_m` ranks.
     """
     table = top_filter(batch, cfg)
-    depth = cfg.keep_mprime if budget is None else cfg.top_m
-    rows = candidates(table, depth, budget)
+    depth = cfg.keep_mprime if cfg.budget is None else cfg.top_m
+    rows = candidates(table, depth, cfg.budget)
     out = statistic_batch(*censor(batch, table, rows))
     n = batch.num_keys
     p_value, stat, change_bin = np.full(n, NEVER_TESTED), np.zeros(n), np.zeros(n, np.int64)

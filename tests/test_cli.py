@@ -169,6 +169,9 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
+        # one line, without argparse's usage block
+        err = capsys.readouterr().err
+        assert err.startswith("flowrank") and err.count("\n") == 1, err
     # parameter values the configuration rejects are usage errors too
     out = str(tmp_path / "out.csv")
     for extra in (
@@ -227,25 +230,32 @@ def test_usage_error_exit_code(flow_csv, tmp_path, capsys, monkeypatch):
     ):
         io_args = ["--input", str(flow_csv)] if extra[0] == "detect" else []
         assert main([*extra, *io_args, "--output", out]) == 1, extra
-        assert "flowrank: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("flowrank: error:") and err.count("\n") == 1, (extra, err)
     monkeypatch.undo()
     assert main(["simulate", "--dim", "0", "--output", out]) == 0  # an empty dataset
     # even when the input has no window to spend the budget on
     empty = tmp_path / "empty.csv"
     empty.write_text(FLOW_HEADER + "\n")
-    for bad, message in ((["--budget", "0"], "--budget must be at least 1"),
-                         (["--seed", "-1"], "--seed must be at least 0")):
+    for bad, message in ((["--budget", "0"], "budget must be at least 1"),
+                         (["--seed", "-1"], "seed must be at least 0")):
         assert main(["detect", "--input", str(empty), "--output", out, *bad]) == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"flowrank: error: {message}\n"
     # a bin length float64 cannot resolve at the data's timestamps is a data error:
     # 1e-300 s anywhere, a 2 ns window near t = 1.7e9 (one ulp there is 238 ns)
     late = tmp_path / "late.csv"
     late.write_text(FLOW_HEADER + "\n1700000000,1700000000.1,1,2,3,4,TCP,3,1,1,1,0"
                     "\n1700000001,1700000001.1,1,2,3,4,TCP,3,1,1,1,0\n")
-    for source, delta in ((flow_csv, ["--delta", "1e-300"]), (late, ["--delta", "1e-9", "--window", "2"])):
-        assert main(["detect", "--input", str(source), "--output", out, *delta]) == 2
+    # under --errors skip a failure prints its own line alone, without the skip count:
+    # that bin length, and an output that cannot be written (the later --output wins)
+    missing = str(tmp_path / "missing" / "out.csv")
+    for source, extra in ((flow_csv, ["--delta", "1e-300"]),
+                          (late, ["--delta", "1e-9", "--window", "2"]),
+                          (flow_csv, ["--delta", "1e-300", "--errors", "skip"]),
+                          (flow_csv, ["--errors", "skip", "--output", missing])):
+        assert main(["detect", "--input", str(source), "--output", out, *extra]) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "Traceback" not in err
+        assert err.startswith("flowrank: data error:") and err.count("\n") == 1, err
     # near t = 60 it resolves; records on a window edge are binned, not rejected
     assert main(["detect", "--input", str(flow_csv), "--output", out, "--delta", "1e-9", "--window", "2"]) == 0
 
@@ -345,7 +355,7 @@ def test_any_option_value_exits_0_1_or_2_with_a_flowrank_line(tiny_flows, argv):
     err = stderr.getvalue()
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
     if code:
-        assert err.splitlines()[-1].startswith("flowrank"), (argv, err)
+        assert len(err.splitlines()) == 1 and err.startswith("flowrank"), (argv, err)
     if code == 1:
         assert list(out_dir.iterdir()) == [], argv
 
@@ -617,6 +627,73 @@ def test_roc_reruns_byte_identical(tmp_path):
     assert main(base + ["--output", str(out_a)]) == 0
     assert main(base + ["--output", str(out_b), "--threads", "4"]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# `detect` on `two_window_csv`: TopRank with its top-M' rule at the default and a
+# deeper M', and with a fixed budget, then HashRank and Comprehensive
+DETECT_MODES = (
+    ["--method", "toprank"],
+    ["--method", "toprank", "--keep", "2"],
+    ["--method", "toprank", "--budget", "3"],
+    ["--method", "hashrank"],
+    ["--method", "full"],
+)
+# their five CSVs, each with its header, one after the other
+DETECT_PINNED = """\
+window,key,method,p_value,statistic,change_bin
+0,200,toprank,1.52437e-11,3.57771,40
+0,103,toprank,0.265287,1.00442,22
+1,104,toprank,0.124263,1.17861,25
+window,key,method,p_value,statistic,change_bin
+0,200,toprank,1.52437e-11,3.57771,40
+0,103,toprank,0.265287,1.00442,22
+1,104,toprank,0.124263,1.17861,25
+1,319,toprank,0.279078,0.991632,59
+1,318,toprank,0.29797,0.974824,58
+window,key,method,p_value,statistic,change_bin
+1,104,toprank,0.124263,1.17861,25
+window,key,method,p_value,statistic,change_bin
+0,200,hashrank,1.52437e-11,3.57771,40
+1,312,hashrank,6.32623e-05,2.27611,45
+1,325,hashrank,6.32623e-05,2.27611,45
+1,318,hashrank,6.53296e-05,2.27258,42
+1,336,hashrank,6.53296e-05,2.27258,42
+1,345,hashrank,6.53296e-05,2.27258,42
+1,362,hashrank,6.53296e-05,2.27258,42
+1,373,hashrank,0.000152415,2.17739,43
+1,334,hashrank,0.000546497,2.02548,40
+1,365,hashrank,0.000546497,2.02548,40
+1,351,hashrank,0.000583128,2.01746,43
+1,386,hashrank,0.000799268,1.978,46
+1,356,hashrank,0.00122174,1.92362,41
+1,379,hashrank,0.00122174,1.92362,41
+1,323,hashrank,0.00176852,1.87493,40
+1,104,hashrank,0.00210101,1.85182,32
+1,342,hashrank,0.0029083,1.80739,42
+1,354,hashrank,0.00533867,1.72133,40
+window,key,method,p_value,statistic,change_bin
+0,200,full,1.52437e-11,3.57771,40
+0,103,full,0.265287,1.00442,22
+1,104,full,0.124263,1.17861,25
+1,319,full,0.279078,0.991632,59
+1,339,full,0.279078,0.991632,59
+1,359,full,0.279078,0.991632,59
+1,379,full,0.279078,0.991632,59
+1,318,full,0.29797,0.974824,58
+1,338,full,0.29797,0.974824,58
+1,358,full,0.29797,0.974824,58
+1,378,full,0.29797,0.974824,58
+"""
+
+
+def test_detect_writes_the_pinned_alarms(two_window_csv, tmp_path):
+    out = tmp_path / "alarms.csv"
+    written = []
+    for mode in DETECT_MODES:
+        argv = ["detect", "--input", str(two_window_csv), "--errors", "skip", "--alpha", "0.3"]
+        assert main([*argv, *mode, "--output", str(out)]) == 0
+        written.append(out.read_text())
+    assert "".join(written) == DETECT_PINNED
 
 
 # `roc --method all` at a tiny config; a 2 x 4 sketch makes HashRank's rates depend on

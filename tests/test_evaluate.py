@@ -66,10 +66,10 @@ def test_comprehensive_contains_uncensored_toprank_alarms():
 @pytest.mark.parametrize("budget", [None, 7])
 def test_scorer_matches_each_method_scorer(budget):
     rng = np.random.default_rng(19)
-    cfg = WindowConfig(bins_per_window=12, top_m=5, keep_mprime=2)
+    cfg = WindowConfig(bins_per_window=12, top_m=5, keep_mprime=2, budget=budget)
     coeffs = sample_coefficients(3, 4, 7)
     own = {
-        DetectionMethod.TOPRANK: lambda b: toprank.score_window(b, cfg, budget),
+        DetectionMethod.TOPRANK: lambda b: toprank.score_window(b, cfg),
         DetectionMethod.HASHRANK: lambda b: hashrank.score_window(b, coeffs),
         DetectionMethod.COMPREHENSIVE: score_comprehensive,
     }
@@ -79,7 +79,7 @@ def test_scorer_matches_each_method_scorer(budget):
         counts = rng.poisson(rng.uniform(0.5, 9.0, (n, 1)), (n, 12))
         batches.append(WindowBatch(0, 0.0, keys, counts))
     for method in DetectionMethod:
-        score = scorer(method, cfg, budget, coeffs)
+        score = scorer(method, cfg, coeffs)
         for batch in batches:
             got, want = score(batch), own[method](batch)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -87,7 +87,7 @@ def test_scorer_matches_each_method_scorer(budget):
 
 def test_scorer_rejects_unknown_method():
     with pytest.raises(ValueError):
-        scorer("toprank", WindowConfig(), None, sample_coefficients(0, 1, 2))
+        scorer("toprank", WindowConfig(), sample_coefficients(0, 1, 2))
 
 
 def small_cfg(seed=0):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,16 @@ def test_sample_coefficients_single_row():
     coeffs = sample_coefficients(5, 1, 8)
     assert coeffs.a.shape == (1, 4)
     assert all(0 <= c < MERSENNE_PRIME for c in coeffs.a[0].tolist())
+
+
+@pytest.mark.parametrize(
+    "seed, l_rows, k_buckets, message",
+    [(0, 0, 17, "need at least one row"), (-1, 8, 17, "seed must be at least 0"),
+     (0, 8, 1, "need 2 to 2^61 - 1 buckets")],
+)
+def test_sample_coefficients_rejects_bad_arguments(seed, l_rows, k_buckets, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_coefficients(seed, l_rows, k_buckets)
 
 
 # --- build_sketch --------------------------------------------------------

@@ -88,6 +88,7 @@ def test_metric_net_scan_keys_on_source():
         {"delta": float("inf")},
         {"delta": 1e308},  # finite, but the 60-bin window span overflows
         {"bins_per_window": 2**21 + 1},  # beyond the rank kernel's int64 sums
+        {"budget": 0},
     ],
 )
 def test_window_config_validation(kwargs):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,10 +225,10 @@ def test_run_window_constant_traffic_never_alarms():
 def test_run_window_budget_counts_tested_series():
     cfg = SynthConfig(dim=500, bins=60, change_rank=50, change_bin=35, factor=5.0, seed=2)
     batch = generate(cfg)
-    wcfg = WindowConfig(bins_per_window=60, top_m=50, keep_mprime=1, level_alpha=1e-3)
+    wcfg = WindowConfig(bins_per_window=60, top_m=50, keep_mprime=1, level_alpha=1e-3, budget=136)
     table = top_filter(batch, wcfg)
-    assert len(candidates(table, wcfg.top_m, 136)) == 136
-    scores = score_window(batch, wcfg, budget=136)
+    assert len(candidates(table, wcfg.top_m, wcfg.budget)) == 136
+    scores = score_window(batch, wcfg)
     assert (scores.p_alarm != NEVER_TESTED).sum() == 136
     assert alarm_order(scores, wcfg.level_alpha).size <= 136
 
@@ -252,7 +253,7 @@ def test_tables_candidates_and_scores_match_the_tuple_oracle():
         assert table.censor_bound.tolist() == [bound for _, bound in tables]
         budgets = [*(int(b) for b in rng.integers(1, 80, 2)), batch.num_keys + 1]
         for keep, budget in [*((k, None) for k in range(1, top_m + 1)), *((1, b) for b in budgets)]:
-            cfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=keep)
+            cfg = WindowConfig(bins_per_window=batch.bins, top_m=top_m, keep_mprime=keep, budget=budget)
             rows = candidates(table, keep if budget is None else top_m, budget)
             if budget is None:
                 # rank-major over the top `keep` ranks; the same set as the bin-major rule
@@ -265,7 +266,7 @@ def test_tables_candidates_and_scores_match_the_tuple_oracle():
             want_x, want_observed = top_censor(tables, want)
             assert x.dtype == want_x.dtype and np.array_equal(x, want_x)
             assert np.array_equal(observed, want_observed)
-            scores = score_window(batch, cfg, budget)
+            scores = score_window(batch, cfg)
             out = statistic_batch(want_x, want_observed)
             tested = np.isin(batch.keys, want)
             at = np.searchsorted(batch.keys, want)
@@ -281,7 +282,7 @@ def test_score_window_of_empty_window():
     batch = batch_from_matrix({}, bins=4)
     cfg = WindowConfig(bins_per_window=4, top_m=3, level_alpha=0.5)
     for budget in (None, 136):
-        scores = score_window(batch, cfg, budget)
+        scores = score_window(batch, replace(cfg, budget=budget))
         assert scores.keys.size == scores.p_alarm.size == scores.stat.size == 0
         assert alarm_order(scores, cfg.level_alpha).size == 0
 
@@ -296,7 +297,7 @@ def test_score_window_memory_is_far_below_the_count_matrix():
     try:
         for budget in (None, 136):
             tracemalloc.reset_peak()
-            score_window(batch, cfg, budget)
+            score_window(batch, replace(cfg, budget=budget))
             peak = tracemalloc.get_traced_memory()[1]
             assert peak < batch.counts.nbytes / 4, (budget, peak)
     finally:
