@@ -10,20 +10,20 @@ seconds, proto one of TCP/UDP/OTHER, counters below 2^32. Records need
 not be time-sorted within a window. Each record is attributed wholly to
 the bin containing its start time, which `split_windows` alone decides.
 
-`read_flow_csv` reads the file in chunks of lines into columns, screening
-each chunk at two levels. First the whole chunk: when its lines are
-nonblank and use only the characters a record can hold (digits, `.,eE+-`
-and the letters of the protocol names), one `np.loadtxt` call converts
-it, and the chunk counts as canonical if that call neither fails nor
-warns of a deprecated integer parse, and returns one row per line.
-Otherwise each line is screened on its own, and the lines in canonical
-form (ASCII digits, unsigned integers) are converted by one `np.loadtxt`
-call. Either way the converted rows are checked against `_RULES`, the
+`read_flow_csv` reads the file in chunks of lines into columns. One byte
+screen per chunk picks the lines that hold only the characters a record
+can hold (ASCII digits, `.,eE+-` and the letters of the protocol names)
+and exactly 11 commas. One `np.loadtxt` call converts them, and they
+count as canonical if that call neither fails nor warns of a deprecated
+integer parse, and returns one row per line; if not, the screened lines
+in canonical form (ASCII digits, unsigned integers) are converted
+instead. Either way the converted rows are checked against `_RULES`, the
 record rules in the order a line is checked. Every other nonblank line,
 and every row a rule rejects, is split by Python `float()` and `int()`
 and checked against the same rules: it is either accepted with the same
 values or rejected with the `ParseError` that names its line and the
-first rule it breaks.
+first rule it breaks. A file is decoded as UTF-8 with each undecodable
+byte kept as a lone surrogate, so a line holding one fails on its own.
 """
 
 from __future__ import annotations
@@ -76,21 +76,27 @@ _PROTO = FLOW_COLUMNS.index("proto")
 CHUNK_LINES = 1 << 16
 TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
 
-# The chunk screen: nonblank lines of these characters only, each ending
-# in "\n" (the last may not). On them np.loadtxt reads floats as float()
-# does and integers as int() does (signs, leading zeros and up to 19
-# digits); what it cannot read exactly (an int64 overflow, "5.0" or "1e5"
-# as an integer, a wrong field count, an element with an embedded newline)
-# raises ValueError, and an element it skips as blank leaves the row count
-# short. Both send the chunk to the per-line screen. While NumPy (from
-# 1.23) only deprecated reading "5.0" as an integer, it warned and read 5;
-# that DeprecationWarning is raised as an error, so such a chunk goes to
-# the per-line screen on every NumPy version. Blank lines must fail the
-# screen itself: on a chunk of nothing else np.loadtxt warns.
-_RECORD_CHARS = r"[0-9.,eE+\-TCPUDOHR]"
-_CHUNK = re.compile(rf"(?:{_RECORD_CHARS}+\n)*{_RECORD_CHARS}+\n?")
+# The byte screen. A line goes to np.loadtxt when it holds exactly 11
+# commas, no byte but those commas and `_FIELD_BYTES`, and no newline but
+# one at its end; such a line is ASCII and nonblank. On it np.loadtxt reads
+# floats as float() does and integers as int() does (signs, leading zeros
+# and up to 19 digits); what it cannot read exactly (an int64 overflow,
+# "5.0" or "1e5" as an integer, an empty field) raises ValueError, which
+# sends the screened lines through `_CANONICAL`. While NumPy (from 1.23)
+# only deprecated reading "5.0" as an integer, it warned and read 5; that
+# DeprecationWarning is raised as an error, so such lines go through
+# `_CANONICAL` on every NumPy version.
+#
+# A chunk is screened at once: its lines are joined by DEL, which no record
+# holds (a line holding one has it replaced first), the text is encoded as
+# ASCII with "?" for every other character, and `bytes.translate` deletes
+# the field bytes. What is left of a line is its commas and odd bytes.
+_FIELD_BYTES = b"0123456789.eE+-TCPUDOHR"
+_SEP = "\x7f"
+_FIELD_COMMAS = len(FLOW_COLUMNS) - 1
+_CLEAN = ("," * _FIELD_COMMAS + "\n" + _SEP).encode()  # what is left of a line that passes
 
-# The per-line screen. Canonical lines are those np.loadtxt reads exactly
+# The fallback screen. Canonical lines are those np.loadtxt reads exactly
 # as float()/int() do: ASCII digits only (no signs, spaces or underscores
 # on integers), and at most 10 integer digits, so int64 holds every value
 # the range rules see.
@@ -187,24 +193,48 @@ def _convert(lines: list[str]) -> FlowColumns:
     return _typed(proto if name == "proto" else raw[name] for name in FLOW_COLUMNS)
 
 
+def _reduce(lines: list[str]) -> bytes:
+    """What is left of each line, the lines separated by `_SEP`."""
+    left = _SEP.join(lines).encode("ascii", "replace").translate(None, _FIELD_BYTES)
+    if left.count(_SEP.encode()) >= len(lines):  # a line holds DEL itself
+        return _reduce([line.replace(_SEP, "?") for line in lines])
+    return left
+
+
+def _screened(lines: list[str]) -> np.ndarray:
+    """The indices of the lines that pass the byte screen."""
+    # in blocks, so that the text's ASCII copy stays small
+    left = _SEP.encode().join(_reduce(lines[i:i + 4096]) for i in range(0, len(lines), 4096))
+    clean = _CLEAN * len(lines)
+    if left == clean[:-1] or left == clean[:-2]:  # the last line may lack its newline
+        return np.arange(len(lines))
+    # per line, the bytes left and the odd ones, each counting the separator after it
+    left = np.frombuffer(left + _SEP.encode(), np.uint8)
+    ends = np.flatnonzero(left == ord(_SEP))
+    size = np.diff(ends, prepend=-1)
+    odd = np.diff(np.searchsorted(np.flatnonzero(left != ord(",")), ends, side="right"), prepend=0)
+    newline = left[ends - 1] == ord("\n")  # an empty first line reads the last separator
+    return np.flatnonzero((size - odd == _FIELD_COMMAS) & (odd == 1 + newline))
+
+
 def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     """The indices of the lines `np.loadtxt` read, and their columns.
 
-    That is every line when the chunk passes the chunk screen, else the
-    lines that pass the per-line screen.
+    That is the lines that pass the byte screen, or if `np.loadtxt`
+    rejects them, those of them in canonical form.
     """
-    if _CHUNK.fullmatch("".join(lines)):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                cols = _convert(lines)
-        except (ValueError, DeprecationWarning):
-            pass
-        else:
-            if cols.ts_start.size == len(lines):
-                return np.arange(len(lines)), cols
-    at = [i for i, line in enumerate(lines) if _CANONICAL.fullmatch(line)]
-    return np.array(at, dtype=np.intp), _convert([lines[i] for i in at])
+    at = _screened(lines)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cols = _convert(lines if at.size == len(lines) else [lines[i] for i in at.tolist()])
+    except (ValueError, DeprecationWarning):
+        pass
+    else:
+        if cols.ts_start.size == at.size:
+            return at, cols
+    at = at[[_CANONICAL.fullmatch(lines[i]) is not None for i in at.tolist()]]
+    return at, _convert([lines[i] for i in at.tolist()])
 
 
 def _split(line: str, line_no: int) -> list:
@@ -279,7 +309,7 @@ def read_flow_csv(
     if errors not in ("raise", "skip"):
         raise ValueError('errors must be "raise" or "skip"')
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_flow_csv(fh, errors, skipped)
     lines = iter(source)
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -86,6 +87,12 @@ class WindowConfig:
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("bins_per_window", "top_m", "keep_mprime", "budget"):
+            value = getattr(self, name)
+            if name == "budget" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if self.bins_per_window < 2:

@@ -215,7 +215,7 @@ def read_dense_csv(
     if bins > MAX_BINS:
         raise ValueError(f"bins must be at most 2^21 = {MAX_BINS}")
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_dense_csv(fh, bins)
     truth: Optional[dict[str, float]] = None
     cells: list[tuple[int, int, int]] = []

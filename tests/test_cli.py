@@ -145,6 +145,25 @@ def test_detect_dense_bad_count_is_a_data_error(tmp_path, capsys):
         assert where in capsys.readouterr().err
 
 
+def test_detect_undecodable_byte_is_a_number_error(flow_csv, tmp_path, capsys):
+    lines = flow_csv.read_bytes().split(b"\n")
+    lines[8] = lines[8].replace(b",TCP,3,", b",TCP,3\xff,")  # line 9
+    flows, out = tmp_path / "bytes.csv", str(tmp_path / "alarms.csv")
+    flows.write_bytes(b"\n".join(lines))
+    assert main(["detect", "--input", str(flows), "--output", out]) == 2
+    assert capsys.readouterr().err == ("flowrank: data error: line 9: unparseable number: "
+                                       "invalid literal for int() with base 10: '3\\udcff'\n")
+    assert main(["detect", "--input", str(flows), "--output", out, "--errors", "skip"]) == 0
+    assert capsys.readouterr().err == "flowrank: skipped 1 bad lines (number 1)\n"
+    flows.write_bytes(b"\xff" + flow_csv.read_bytes())
+    assert main(["detect", "--input", str(flows), "--output", out, "--errors", "skip"]) == 2
+    assert capsys.readouterr().err.startswith("flowrank: data error: line 1: bad header")
+    dense = tmp_path / "dense.csv"
+    dense.write_bytes(b"key,bin,count\n1,1,5\n2,1,\xff5\n")
+    assert main(["detect", "--input", str(dense), "--format", "dense", "--output", out]) == 2
+    assert capsys.readouterr().err.startswith("flowrank: data error: line 3: unparseable number")
+
+
 def test_detect_missing_input_is_data_error(tmp_path):
     rc = main(["detect", "--input", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "o.csv")])

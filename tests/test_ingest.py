@@ -324,6 +324,8 @@ def assert_same_columns(got, want):
 @example(["", VALID + VALID])
 @example([VALID.rstrip(), "\n", VALID + VALID])
 @example([VALID.rstrip(), VALID, VALID.rstrip()])
+@example([VALID.replace(",0\n", "\n"), VALID.replace("\n", ",0\n")])  # 10 and 12 commas
+@example([VALID, VALID.replace(",TCP,3,", ",TCP,99999999999999999999,")])  # an int64 overflow
 def test_read_flow_csv_matches_per_line_reference(lines):
     records, errors = [], []
     for line_no, line in enumerate(lines, start=2):
@@ -364,19 +366,50 @@ def test_plain_corpus_skips_the_per_line_screen():
     assert_same_columns(got, from_records(parse_record(line) for line in lines))
 
 
+def test_malformed_lines_skip_the_canonical_screen():
+    # one chunk holding each defect of the flow-scan benchmark corpus, two
+    # of them on either side of the screen's first block boundary
+    lines = [flow_line(t / 7 - 30, dst_ip=t % 13, proto=("TCP", "UDP", "OTHER")[t % 3])
+             for t in range(5000)]
+    defects = {
+        40: lines[40].rsplit(",", 1)[0],  # a field short
+        4095: lines[4095].replace(",TCP,10,", ",TCP,10x,"),  # "2x" in packets
+        4096: lines[4096].replace(",UDP,", ",ICMP,"),
+        4990: FLAGS.rstrip(),  # read, then rejected by the flag check
+    }
+    assert all(defects[i] != lines[i] for i in defects)
+    for i, line in defects.items():
+        lines[i] = line
+    convert = Mock(wraps=ingest._convert)
+    refuse = Mock(side_effect=AssertionError("canonical screen called"))
+    with patch.object(ingest, "_convert", convert), \
+            patch.object(ingest, "_CANONICAL", Mock(fullmatch=refuse)):
+        skipped = Counter()
+        got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
+    assert skipped == {"field count": 1, "number": 1, "protocol": 1, "flags": 1}
+    # every well-formed line, the first and the last among them, reaches np.loadtxt
+    assert convert.call_args.args[0] == [line + "\n" for i, line in enumerate(lines)
+                                         if i not in (40, 4095, 4096)]
+    good = [line for i, line in enumerate(lines) if i not in defects]
+    assert_same_columns(got, from_records(parse_record(line) for line in good))
+
+
 @pytest.mark.parametrize("odd", [
     "0.5,0.6,1,2,3,4,TC_P,3,1,1,1,0\n",  # np.loadtxt reads any proto text
     "0.5,0.6,1,2,3,4,TCP ,3,1,1,1,0\n",
     " 0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\n",
     "0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\r\n",
     "0.5,0.6,1,2,3,4,tcp,3,1,1,1,0\n",
-    "0.5,0.6,1,2,3,4,TCP,3,1,1,1,\u0660\n",
+    "0.5,0.6,1,2,3,4,TCP,3,1,1,1,\u0660\n",  # not ASCII
+    "0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\x7f\n",  # the screen's own line separator
 ])
 def test_chunk_screen_sends_other_characters_line_by_line(odd):
-    spy = Mock(wraps=ingest._CANONICAL)
-    with patch.object(ingest, "_CANONICAL", spy):
-        read_flow_csv([FLOW_HEADER + "\n", VALID, odd], errors="skip")
-    assert spy.fullmatch.call_count == 2
+    convert = Mock(wraps=ingest._convert)
+    canonical = Mock(wraps=ingest._CANONICAL)
+    with patch.object(ingest, "_convert", convert), patch.object(ingest, "_CANONICAL", canonical):
+        read_flow_csv([FLOW_HEADER + "\n", VALID, odd, VALID], errors="skip")
+    assert [c.args[0] for c in convert.call_args_list] == [[VALID, VALID]]
+    canonical.fullmatch.assert_not_called()
 
 
 def loadtxt_that_truncates(real=np.loadtxt):
@@ -433,6 +466,19 @@ def test_read_flow_csv_reports_skips_by_reason():
     assert cols.ts_start.tolist() == [0.0, 1.0]
     assert skipped == {
         "field count": 1, "number": 1, "protocol": 1, "range": 1, "flags": 1, "timestamp": 1}
+
+
+def test_undecodable_bytes_fail_their_own_line(tmp_path):
+    path = tmp_path / "flows.csv"
+    odd = VALID.replace(",TCP,3,", ",TCP,3\udcff,")  # how the reader decodes byte 0xff
+    path.write_bytes(f"{FLOW_HEADER}\n{VALID}{odd}{VALID}".encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as info:
+        read_flow_csv(str(path))
+    assert (info.value.line_no, info.value.reason) == (3, "number")
+    skipped = Counter()
+    got = read_flow_csv(str(path), errors="skip", skipped=skipped)
+    assert skipped == {"number": 1}
+    assert_same_columns(got, from_records([parse_record(VALID)] * 2))
 
 
 def record_line(**fields):

@@ -89,6 +89,14 @@ def test_metric_net_scan_keys_on_source():
         {"delta": 1e308},  # finite, but the 60-bin window span overflows
         {"bins_per_window": 2**21 + 1},  # beyond the rank kernel's int64 sums
         {"budget": 0},
+        # the integer fields take integers only
+        {"bins_per_window": 3.5},
+        {"top_m": 2.5},
+        {"top_m": True},
+        {"keep_mprime": 1.5},
+        {"budget": 2.5},
+        {"budget": False},
+        {"top_m": None},
     ],
 )
 def test_window_config_validation(kwargs):
@@ -101,6 +109,7 @@ def test_window_config_defaults_and_span():
     assert (cfg.delta, cfg.bins_per_window, cfg.top_m, cfg.keep_mprime) == (1.0, 60, 10, 1)
     assert cfg.window_seconds == 60.0
     assert WindowConfig(bins_per_window=2**21).bins_per_window == 2**21
+    assert WindowConfig(top_m=np.int64(5), budget=np.uint8(3)).budget == 3  # numpy integers too
 
 
 def test_window_batch_counts_are_frozen_and_validated():
