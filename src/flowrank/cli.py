@@ -25,7 +25,7 @@ from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError, _check_theta
 from .fisher import estimate_info_max, estimate_info_sum
 from .hashrank import sample_coefficients
 from .ingest import read_flow_csv, split_windows
-from .model import DetectionMethod, MetricKind, WindowConfig
+from .model import DetectionMethod, MetricKind, WindowConfig, check_int
 from .ranktest import alarm_order
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
 
@@ -65,14 +65,6 @@ def _write_table(args: argparse.Namespace, header: str, lines: list, what: str, 
     _write_manifest(args.output, args.command, params)
     print(f"wrote {len(lines)} {what} to {args.output}")
     return 0
-
-
-def _require_at_least(args: argparse.Namespace, **minimum: int) -> None:
-    """A count option below its minimum is a usage error, found before any input is read."""
-    for name, least in minimum.items():
-        value = getattr(args, name)
-        if value is not None and value < least:
-            raise UsageError(f"--{name} must be at least {least}")
 
 
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
@@ -165,7 +157,7 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def cmd_roc(args: argparse.Namespace) -> int:
-    _require_at_least(args, threads=1)
+    check_int("--threads", args.threads, 1)
     methods = list(DetectionMethod) if args.method == "all" else [_METHODS[args.method]]
     thresholds = (
         _parse_list(args.thresholds, float, "thresholds")
@@ -195,17 +187,19 @@ def cmd_fisher(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown density {args.density!r}; built-ins: {sorted(BUILTIN_DENSITIES)}"
         )
-    _require_at_least(args, mc=2, seed=0)
+    check_int("--mc", args.mc, 2)
+    check_int("--seed", args.seed, 0)
     _check_theta(args.theta)
-    if args.grid < MIN_GRID or args.grid & (args.grid - 1):
-        raise UsageError(f"--grid must be a power of two of at least {MIN_GRID}")
+    check_int("--grid", args.grid, MIN_GRID)
+    if args.grid & (args.grid - 1):
+        raise UsageError("--grid must be a power of two")
     dtheta = args.dtheta_frac * args.theta
     if not 0.0 < dtheta < args.theta:
         raise UsageError("--dtheta-frac must lie in (0, 1)")
     density = BUILTIN_DENSITIES[args.density]
     dims = _parse_list(args.dims, int, "dims")
-    if min(dims) < 2:
-        raise UsageError("--dims must be at least 2")
+    for dim in dims:
+        check_int("--dims", dim, 2)
     lines = []
     for i, dim in enumerate(dims):
         est_max = estimate_info_max(density, args.theta, dim, n_mc=args.mc, seed=args.seed + i)

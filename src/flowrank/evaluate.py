@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hashrank, toprank
 from .hashrank import HashCoefficients, sample_coefficients
-from .model import DetectionMethod, WindowBatch, WindowConfig
+from .model import DetectionMethod, WindowBatch, WindowConfig, check_int
 from .ranktest import Scores, statistic_batch
 from .synth import SynthConfig, generate
 
@@ -94,12 +94,11 @@ def roc(
     """
     if not methods or not all(isinstance(m, DetectionMethod) for m in methods):
         raise ValueError("methods must be one or more DetectionMethod values")
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    check_int("runs", runs, 1)
     # metric, window length and alpha are irrelevant: only the scores are swept
     wcfg = WindowConfig(top_m=top_m, budget=budget)
-    if cfg.dim < 1:
-        raise ValueError("the protocol needs at least one key")
+    # the protocol needs at least one key
+    check_int("dim", cfg.dim, 1)
     thr = check_thresholds(thresholds)
     thr_arr = np.asarray(thr)
     # `generate` puts key i at row i - 1

@@ -28,6 +28,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .model import check_int
+
 ArrayLike = Union[float, np.ndarray]
 
 # mass tolerances for the gridded density of the sum
@@ -153,8 +155,7 @@ def info_sum_target(d: ToyDensity, theta: float, dim: int) -> float:
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    check_int("dim", dim, 2)
     return d.mean_mu**2 / (theta**4 * d.var_sigma2 * dim)
 
 
@@ -193,10 +194,9 @@ def estimate_info_max(
     variance of the score. Deterministic in the seed (fixed chunking).
     """
     _check_theta(theta)
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    if n_mc < 2:
-        raise ValueError("n_mc must be at least 2")
+    check_int("dim", dim, 2)
+    check_int("n_mc", n_mc, 2)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # bound the (chunk, dim-1) sample block to ~4M draws
     chunk = max(1, (1 << 22) // (dim - 1))
@@ -250,10 +250,10 @@ def estimate_info_sum(
     than 1e-6).
     """
     _check_theta(theta)
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    if grid_n < MIN_GRID or grid_n & (grid_n - 1):
-        raise ValueError(f"grid_n must be a power of two >= {MIN_GRID}")
+    check_int("dim", dim, 2)
+    check_int("grid_n", grid_n, MIN_GRID)
+    if grid_n & (grid_n - 1):
+        raise ValueError("grid_n must be a power of two")
     if dtheta is None:
         dtheta = 1e-4 * theta
     if not 0.0 < dtheta < theta:

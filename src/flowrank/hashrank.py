@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import WindowBatch
+from .model import WindowBatch, check_int
 from .ranktest import Scores, statistic_batch
 
 MERSENNE_PRIME = (1 << 61) - 1
@@ -52,8 +52,7 @@ class HashCoefficients:
         if a.min() < 0 or a.max() >= MERSENNE_PRIME:
             raise ValueError("coefficients must lie in [0, p-1]")
         # hash values lie below p, so a bucket past p is never hit
-        if not 2 <= self.k_buckets <= MERSENNE_PRIME:
-            raise ValueError("need 2 to 2^61 - 1 buckets")
+        check_int("k_buckets", self.k_buckets, 2, MERSENNE_PRIME)
         a = a.astype(np.uint64)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -114,10 +113,8 @@ def hash_buckets(coeffs: HashCoefficients, keys: np.ndarray) -> np.ndarray:
 
 def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> HashCoefficients:
     """Draw L independent coefficient rows, uniform over [0, p-1]^4."""
-    if l_rows < 1:
-        raise ValueError("need at least one row")
-    if seed < 0:
-        raise ValueError("seed must be at least 0")
+    check_int("l_rows", l_rows, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, MERSENNE_PRIME, size=(l_rows, 4), dtype=np.int64)
     return HashCoefficients(draws, k_buckets)

@@ -73,7 +73,7 @@ PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
 _PROTOCOL_CODES = {p.value: code for code, p in enumerate(PROTOCOLS)}
 _TCP = _PROTOCOL_CODES["TCP"]
 _PROTO = FLOW_COLUMNS.index("proto")
-CHUNK_LINES = 1 << 16
+CHUNK_LINES = 1 << 12
 TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
 
 # The byte screen. A line goes to np.loadtxt when it holds exactly 11
@@ -203,8 +203,7 @@ def _reduce(lines: list[str]) -> bytes:
 
 def _screened(lines: list[str]) -> np.ndarray:
     """The indices of the lines that pass the byte screen."""
-    # in blocks, so that the text's ASCII copy stays small
-    left = _SEP.encode().join(_reduce(lines[i:i + 4096]) for i in range(0, len(lines), 4096))
+    left = _reduce(lines)
     clean = _CLEAN * len(lines)
     if left == clean[:-1] or left == clean[:-2]:  # the last line may lack its newline
         return np.arange(len(lines))
@@ -288,11 +287,11 @@ def _read_chunk(
     if skipped is not None:
         skipped.update(_RULES[code - 1].reason for code in codes[broken].tolist())
     keep = codes == 0
-    merged = FlowColumns(*(
-        np.concatenate(pair) for pair in zip(cols.take(ok), _typed(split.take(keep)))
+    # each split row goes in before the first screened row of a later line
+    where = np.searchsorted(at[ok], np.array(value_at, dtype=np.intp)[keep])
+    return FlowColumns(*(
+        np.insert(col[ok], where, rows) for col, rows in zip(cols, _typed(split.take(keep)))
     ))
-    order = np.concatenate([at[ok], np.array(value_at, dtype=np.intp)[keep]])
-    return merged.take(np.argsort(order, kind="stable"))
 
 
 def read_flow_csv(

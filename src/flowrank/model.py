@@ -54,6 +54,20 @@ class DetectionMethod(enum.Enum):
     COMPREHENSIVE = "full"
 
 
+def check_int(name: str, value, least: int, most: Optional[int] = None) -> None:
+    """Reject a count argument that is not an integer in least..most.
+
+    Python and numpy integers pass; a bool, a float (even an integral
+    one), None or a string is a ValueError, as is a value out of range.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}")
+
+
 COUNTERS = ("packets", "syn", "synack", "fin", "rst")
 
 
@@ -87,26 +101,15 @@ class WindowConfig:
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("bins_per_window", "top_m", "keep_mprime", "budget"):
-            value = getattr(self, name)
-            if name == "budget" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if self.bins_per_window < 2:
-            raise ValueError("bins_per_window must be at least 2")
-        if self.bins_per_window > MAX_BINS:
-            raise ValueError(f"bins_per_window must be at most 2^21 = {MAX_BINS}")
+        check_int("bins_per_window", self.bins_per_window, 2, MAX_BINS)
         if not math.isfinite(self.window_seconds):
             raise ValueError("delta * bins_per_window must be finite")
-        if self.top_m < 1:
-            raise ValueError("top_m must be at least 1")
-        if not 1 <= self.keep_mprime <= self.top_m:
-            raise ValueError("keep_mprime must be in 1..top_m")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be at least 1")
+        check_int("top_m", self.top_m, 1)
+        check_int("keep_mprime", self.keep_mprime, 1, self.top_m)
+        if self.budget is not None:
+            check_int("budget", self.budget, 1)
         if not 0.0 < self.level_alpha < 1.0:
             raise ValueError("level_alpha must be in (0, 1)")
 
@@ -140,8 +143,8 @@ class WindowBatch:
             raise ValueError("keys must be one-dimensional")
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("keys must be strictly ascending")
-        if counts.ndim != 2 or counts.shape[0] != keys.size or counts.shape[1] < 1:
-            raise ValueError(f"counts must be N x P with P >= 1, got {counts.shape}")
+        if counts.ndim != 2 or counts.shape[0] != keys.size or counts.shape[1] < 2:
+            raise ValueError(f"counts must be N x P with P >= 2, got {counts.shape}")
         if counts.size and counts.min() < 0:
             raise ValueError("bin counts must be nonnegative")
         for name, arr in (("keys", keys), ("counts", counts)):

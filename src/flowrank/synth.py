@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import IO, Callable, Optional, Union
 
 import numpy as np
 
-from .model import MAX_BINS, U32_MAX, WindowBatch
+from .model import MAX_BINS, U32_MAX, WindowBatch, check_int
 
 DENSE_HEADER = "key,bin,count"
 _INT64 = np.iinfo(np.int64)
@@ -54,28 +53,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError("dim must be nonnegative")
         # a row's spawn key must stay one uint32 word (see `_spawn_states`)
-        if self.dim > _MASK32:
-            raise ValueError("dim must be below 2^32")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.bins < 2:
-            raise ValueError("bins must be at least 2")
-        if self.bins > MAX_BINS:
-            raise ValueError(f"bins must be at most 2^21 = {MAX_BINS}")
+        check_int("dim", self.dim, 0, _MASK32)
+        check_int("seed", self.seed, 0)
+        check_int("bins", self.bins, 2, MAX_BINS)
         # each range test also rejects nan
         if not 1 < self.pareto_shape < math.inf:
             raise ValueError("pareto_shape must be finite and exceed 1 (finite mean)")
         if not 0 < self.pareto_scale < math.inf:
             raise ValueError("pareto_scale must be positive and finite")
-        if self.dim > 0 and not 1 <= self.change_rank <= self.dim:
-            raise ValueError("change_rank must be in 1..dim")
-        if not 1 <= self.change_bin < self.bins:
-            raise ValueError("change_bin must be in 1..bins-1")
+        check_int("change_rank", self.change_rank, 1, self.dim or None)
+        check_int("change_bin", self.change_bin, 1, self.bins - 1)
         if not 0 < self.factor < math.inf:
             raise ValueError("factor must be positive and finite")
+        # numpy integers become Python ints, so `dim + 1` or `seed + run` cannot wrap
+        for name in ("dim", "seed", "bins", "change_rank", "change_bin"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def sample_pareto(
@@ -212,8 +205,7 @@ def read_dense_csv(
     only zero counts in the file are dropped (they should not appear in
     a dense file anyway).
     """
-    if bins > MAX_BINS:
-        raise ValueError(f"bins must be at most 2^21 = {MAX_BINS}")
+    check_int("bins", bins, 2, MAX_BINS)
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_dense_csv(fh, bins)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import WindowBatch, WindowConfig
+from .model import WindowBatch, WindowConfig, check_int
 from .ranktest import NEVER_TESTED, Scores, statistic_batch
 
 
@@ -66,10 +66,9 @@ def candidates(table: TopTable, depth: int, budget: Optional[int] = None) -> np.
     """The first `budget` distinct rows (all of them when None) of the
     tables' top `depth` ranks, in rank-major order: every bin's rank-1
     row in time order, then every bin's rank-2 row, and so on."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1")
+    check_int("depth", depth, 1)
+    if budget is not None:
+        check_int("budget", budget, 1)
     flat = table.rows[:, :depth].T.ravel()
     distinct, first = np.unique(flat[flat >= 0], return_index=True)
     return distinct[np.argsort(first)][:budget]

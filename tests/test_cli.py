@@ -498,6 +498,37 @@ def test_detect_commutes_with_order_preserving_key_relabelling(two_window_csv, t
     assert detect(relabelled) == ([head, *mapped], err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--window", "1"], "bins_per_window must be at least 2"),
+    (["detect", "--top", "0", "--budget", "0"], "top_m must be at least 1"),
+    (["detect", "--keep", "11"], "keep_mprime must be at most 10"),
+    (["detect", "--rows", "0"], "l_rows must be at least 1"),
+    (["detect", "--buckets", "1"], "k_buckets must be at least 2"),
+    (["detect", "--buckets", str(2**61)], "k_buckets must be at most 2305843009213693951"),
+    (["simulate", "--dim", "-1"], "dim must be at least 0"),
+    (["simulate", "--dim", str(2**32)], "dim must be at most 4294967295"),
+    (["simulate", "--seed", "-1"], "seed must be at least 0"),
+    (["simulate", "--bins", "1"], "bins must be at least 2"),
+    (["simulate", "--target-rank", "0"], "change_rank must be at least 1"),
+    (["simulate", "--target-rank", "1001"], "change_rank must be at most 1000"),
+    (["simulate", "--change-at", "60"], "change_bin must be at most 59"),
+    (["roc", "--runs", "0"], "runs must be at least 1"),
+    (["roc", "--dim", "0"], "dim must be at least 1"),
+    (["roc", "--threads", "0"], "--threads must be at least 1"),
+    (["fisher", "--seed", "-1"], "--seed must be at least 0"),
+    (["fisher", "--mc", "1"], "--mc must be at least 2"),
+    (["fisher", "--dims", "16,1"], "--dims must be at least 2"),
+    (["fisher", "--grid", "1000"], "--grid must be at least 16384"),
+    (["fisher", "--grid", "20000"], "--grid must be a power of two"),
+])
+def test_count_option_out_of_range_names_its_bound(argv, message, flow_csv, tmp_path, capsys):
+    io_args = ["--input", str(flow_csv)] if argv[0] == "detect" else []
+    out = tmp_path / "out.csv"
+    assert main([*argv, *io_args, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"flowrank: error: {message}\n"
+    assert not out.exists()
+
+
 def test_more_bins_than_the_kernel_holds_is_a_usage_error(flow_csv, tmp_path, capsys, monkeypatch):
     # at P = 4M bins the int64 sum of squared scores wrapped, and roc "detected"
     # a change of factor 1; every entry now refuses P > 2^21 before any draw
@@ -507,17 +538,17 @@ def test_more_bins_than_the_kernel_holds_is_a_usage_error(flow_csv, tmp_path, ca
     monkeypatch.setattr(cli, "generate", no_generate)
     monkeypatch.setattr(evaluate, "generate", no_generate)
     out = tmp_path / "out.csv"
-    for argv in (
-        ["roc", "--method", "full", "--dim", "1", "--target-rank", "1", "--bins", "4000000",
-         "--change-at", "2000000", "--factor", "1", "--runs", "1", "--seed", "3",
-         "--thresholds", "0.01"],
-        ["simulate", "--bins", "2097153"],
-        ["detect", "--input", str(flow_csv), "--window", "2097153"],
-        ["detect", "--input", str(flow_csv), "--format", "dense", "--window", "2097153"],
+    for argv, field in (
+        (["roc", "--method", "full", "--dim", "1", "--target-rank", "1", "--bins", "4000000",
+          "--change-at", "2000000", "--factor", "1", "--runs", "1", "--seed", "3",
+          "--thresholds", "0.01"], "bins"),
+        (["simulate", "--bins", "2097153"], "bins"),
+        (["detect", "--input", str(flow_csv), "--window", "2097153"], "bins_per_window"),
+        (["detect", "--input", str(flow_csv), "--format", "dense", "--window", "2097153"],
+         "bins_per_window"),
     ):
         assert main([*argv, "--output", str(out)]) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("flowrank: error: ") and "2^21" in err, err
+        assert capsys.readouterr().err == f"flowrank: error: {field} must be at most 2097152\n"
         assert not out.exists()
 
 

@@ -2,14 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowrank import evaluate, hashrank, toprank
 from flowrank.evaluate import DEFAULT_THRESHOLDS, check_thresholds, roc, score_comprehensive, scorer
-from flowrank.hashrank import sample_coefficients
+from flowrank.hashrank import HashCoefficients, sample_coefficients
 from flowrank.model import DetectionMethod, WindowBatch, WindowConfig
 from flowrank.ranktest import alarm_order, statistic_batch
 from flowrank.synth import SynthConfig, generate
-from flowrank.toprank import score_window
+from flowrank.toprank import candidates, score_window, top_filter
 
 
 def test_default_threshold_grid_shape():
@@ -208,6 +210,10 @@ def test_roc_rejects_thresholds_that_are_not_ascending_pvalues(thresholds, no_ru
         ("budget", 0, "budget"),
         ("methods", (), "method"),
         ("methods", (DetectionMethod.TOPRANK, "full"), "method"),
+        ("runs", 1.5, "runs must be an integer"),
+        ("l_rows", 1.5, "l_rows must be an integer"),
+        ("k_buckets", 17.0, "k_buckets must be an integer"),
+        ("top_m", True, "top_m must be an integer"),
     ],
 )
 def test_roc_rejects_bad_arguments_before_any_run(name, value, match, no_runs):
@@ -248,3 +254,59 @@ def test_roc_comprehensive_null_rate_tracks_threshold():
     points = roc(cfg, DetectionMethod.COMPREHENSIVE, runs=3, thresholds=[0.05, 0.2])
     for p in points:
         assert p.fa_rate <= p.threshold * 1.8 + 0.02
+
+
+# what a caller may pass as a count: small integers of every kind, and what is not one
+COUNT = st.one_of(
+    st.integers(-2, 9),
+    st.integers(-2, 9).map(np.int64),
+    st.integers(0, 9).map(np.uint8),
+    st.integers(-2, 9).map(float),
+    st.floats(-2, 9) | st.sampled_from([float("nan"), float("inf")]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["3", ""]),
+)
+
+
+def _made(make, default):
+    """`make()`, or `default` when it rejects its arguments with a ValueError."""
+    try:
+        return make()
+    except ValueError:
+        return default
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_count_argument_is_refused_at_the_call_or_scores_the_window(data):
+    def count(label):
+        return data.draw(COUNT, label=label)
+
+    def budget(label):
+        return data.draw(st.none() | COUNT, label=label)
+
+    synth = _made(lambda: SynthConfig(
+        dim=count("dim"), bins=count("bins"), change_rank=count("change_rank"),
+        change_bin=count("change_bin"), seed=count("synth.seed")),
+        SynthConfig(dim=6, bins=4, change_rank=2, change_bin=2))
+    batch = generate(synth)
+    cfg = _made(lambda: WindowConfig(
+        bins_per_window=count("bins_per_window"), top_m=count("top_m"),
+        keep_mprime=count("keep_mprime"), budget=budget("budget")), WindowConfig(top_m=3))
+    coeffs = _made(lambda: sample_coefficients(
+        count("coeffs.seed"), count("l_rows"), count("k_buckets")), sample_coefficients(0, 2, 3))
+    coeffs = _made(lambda: HashCoefficients(coeffs.a, count("HashCoefficients.k_buckets")), coeffs)
+    rows = _made(lambda: candidates(
+        top_filter(batch, cfg), count("depth"), budget("candidates.budget")), None)
+    assert rows is None or set(rows.tolist()) <= set(range(batch.num_keys))
+    for method in DetectionMethod:
+        scores = scorer(method, cfg, coeffs)(batch)
+        assert np.array_equal(scores.keys, batch.keys)
+        for column in (scores.p_alarm, scores.p_report, scores.stat, scores.change_bin):
+            assert column.shape == batch.keys.shape
+    points = _made(lambda: roc(
+        SynthConfig(dim=5, bins=4, change_rank=2, change_bin=2), *DetectionMethod,
+        runs=count("runs"), top_m=count("roc.top_m"), budget=count("roc.budget"),
+        l_rows=count("roc.l_rows"), k_buckets=count("roc.k_buckets"), thresholds=[0.5]), None)
+    assert points is None or [p.method for p in points] == list(DetectionMethod)

@@ -167,7 +167,7 @@ def test_info_sum_target_closed_form():
 
 
 def test_info_sum_target_validates_arguments():
-    for theta, dim in ((0.0, 10), (1.5, 10), (0.5, 1)):
+    for theta, dim in ((0.0, 10), (1.5, 10), (0.5, 1), (0.5, 4.5)):
         with pytest.raises(ValueError):
             info_sum_target(D33, theta, dim)
 
@@ -198,6 +198,14 @@ def test_estimate_info_max_validates_arguments():
         estimate_info_max(D33, 0.5, 1)
     with pytest.raises(ValueError):
         estimate_info_max(D33, 0.5, 50, n_mc=1)
+    with pytest.raises(ValueError, match="^n_mc must be an integer$"):
+        estimate_info_max(D33, 0.5, 50, n_mc=2.5)
+    with pytest.raises(ValueError, match="^dim must be an integer$"):
+        estimate_info_max(D33, 0.5, 50.0)
+    for seed, message in ((1.5, "seed must be an integer"), (None, "seed must be an integer"),
+                          (-1, "seed must be at least 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_info_max(D33, 0.5, 50, n_mc=100, seed=seed)
 
 
 def test_estimate_info_sum_tracks_asymptotic_constant():
@@ -226,6 +234,11 @@ def test_estimate_info_sum_validates_arguments():
         estimate_info_sum(D33, 0.5, 64, grid_n=(1 << 14) + 1)
     with pytest.raises(ValueError):
         estimate_info_sum(D33, 0.5, 1)
+    # a fractional dimension is refused, not resolved into a ResolutionError
+    with pytest.raises(ValueError, match="^dim must be an integer$"):
+        estimate_info_sum(D33, 0.5, 4.5)
+    with pytest.raises(ValueError, match="^grid_n must be an integer$"):
+        estimate_info_sum(D33, 0.5, 64, grid_n=float(1 << 14))
     with pytest.raises(ValueError):
         estimate_info_sum(D33, 0.5, 64, dtheta=0.6)
 

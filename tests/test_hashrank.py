@@ -148,11 +148,12 @@ def test_sample_coefficients_single_row():
 
 @pytest.mark.parametrize(
     "seed, l_rows, k_buckets, message",
-    [(0, 0, 17, "need at least one row"), (-1, 8, 17, "seed must be at least 0"),
-     (0, 8, 1, "need 2 to 2^61 - 1 buckets")],
+    [(0, 0, 17, "l_rows must be at least 1"), (-1, 8, 17, "seed must be at least 0"),
+     (0, 8, 1, "k_buckets must be at least 2"), (0, 2.5, 17, "l_rows must be an integer"),
+     (0, 8, 17.5, "k_buckets must be an integer"), (1.0, 8, 17, "seed must be an integer")],
 )
 def test_sample_coefficients_rejects_bad_arguments(seed, l_rows, k_buckets, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_coefficients(seed, l_rows, k_buckets)
 
 

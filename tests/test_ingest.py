@@ -367,8 +367,8 @@ def test_plain_corpus_skips_the_per_line_screen():
 
 
 def test_malformed_lines_skip_the_canonical_screen():
-    # one chunk holding each defect of the flow-scan benchmark corpus, two
-    # of them on either side of the screen's first block boundary
+    # each defect of the flow-scan benchmark corpus, two of them on either
+    # side of the first chunk boundary
     lines = [flow_line(t / 7 - 30, dst_ip=t % 13, proto=("TCP", "UDP", "OTHER")[t % 3])
              for t in range(5000)]
     defects = {
@@ -382,14 +382,15 @@ def test_malformed_lines_skip_the_canonical_screen():
         lines[i] = line
     convert = Mock(wraps=ingest._convert)
     refuse = Mock(side_effect=AssertionError("canonical screen called"))
-    with patch.object(ingest, "_convert", convert), \
+    with patch.object(ingest, "_convert", convert), patch.object(ingest, "CHUNK_LINES", 4096), \
             patch.object(ingest, "_CANONICAL", Mock(fullmatch=refuse)):
         skipped = Counter()
         got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
     assert skipped == {"field count": 1, "number": 1, "protocol": 1, "flags": 1}
     # every well-formed line, the first and the last among them, reaches np.loadtxt
-    assert convert.call_args.args[0] == [line + "\n" for i, line in enumerate(lines)
-                                         if i not in (40, 4095, 4096)]
+    assert convert.call_count == 2
+    assert sum((c.args[0] for c in convert.call_args_list), []) == [
+        line + "\n" for i, line in enumerate(lines) if i not in (40, 4095, 4096)]
     good = [line for i, line in enumerate(lines) if i not in defects]
     assert_same_columns(got, from_records(parse_record(line) for line in good))
 

@@ -8,6 +8,7 @@ from flowrank.model import (
     Protocol,
     WindowBatch,
     WindowConfig,
+    check_int,
 )
 from flowrank.ranktest import CensoredSeries, statistic
 from flowrank.toprank import top_filter
@@ -104,6 +105,29 @@ def test_window_config_validation(kwargs):
         WindowConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 2**70])
+def test_check_int_accepts_integers_in_range(value):
+    check_int("n", value, 3)
+    check_int("n", value, -1, value)
+
+
+@pytest.mark.parametrize("value, least, most, message", [
+    (3.0, 1, None, "n must be an integer"),
+    (float("nan"), 1, None, "n must be an integer"),
+    (True, 0, None, "n must be an integer"),
+    (np.bool_(True), 0, None, "n must be an integer"),
+    (None, 0, None, "n must be an integer"),
+    ("3", 0, None, "n must be an integer"),
+    (0, 1, None, "n must be at least 1"),
+    (np.int8(-1), 0, 5, "n must be at least 0"),
+    (6, 0, 5, "n must be at most 5"),
+    (2**64, 0, 2**61 - 1, "n must be at most 2305843009213693951"),
+])
+def test_check_int_rejects_with_one_text(value, least, most, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_int("n", value, least, most)
+
+
 def test_window_config_defaults_and_span():
     cfg = WindowConfig()
     assert (cfg.delta, cfg.bins_per_window, cfg.top_m, cfg.keep_mprime) == (1.0, 60, 10, 1)
@@ -161,6 +185,10 @@ def test_window_batch_checks_keys_and_shape():
             WindowBatch(0, 0.0, [5], np.zeros(shape, dtype=np.int64))
     batch = WindowBatch(0, 0.0, [5], [[1, 0]])
     assert (batch.num_keys, batch.bins) == (1, 2)
+    # a window has at least two bins: every scorer's rank test needs them
+    for keys, counts in (([1, 2], [[3], [4]]), ([], np.zeros((0, 1), dtype=np.int64))):
+        with pytest.raises(ValueError, match=r"^counts must be N x P with P >= 2, got \(\d, 1\)$"):
+            WindowBatch(0, 0.0, keys, counts)
     empty = WindowBatch(0, 0.0, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
     assert (empty.num_keys, empty.bins) == (0, 4)
 

@@ -99,7 +99,7 @@ def test_generate_intensity_quantiles_track_inverse_cdf():
 def test_generate_validates_config():
     with pytest.raises(ValueError):
         SynthConfig(dim=10, change_rank=11)
-    with pytest.raises(ValueError, match="dim must be nonnegative"):
+    with pytest.raises(ValueError, match="^dim must be at least 0$"):
         SynthConfig(dim=-1)
     # a spawn key is one uint32 word, and the seed's words need a nonnegative integer
     with pytest.raises(ValueError):
@@ -108,8 +108,31 @@ def test_generate_validates_config():
     for seed in (-1, -(2**40), 1.0, "1", None):
         with pytest.raises(ValueError):
             SynthConfig(seed=seed)
+    # every count field takes integers only, and names its bound
+    for name, bad, message in (
+        ("dim", True, "dim must be an integer"), ("dim", 10.5, "dim must be an integer"),
+        ("bins", 40.0, "bins must be an integer"),
+        ("change_bin", 3.5, "change_bin must be an integer"),
+        ("change_rank", None, "change_rank must be an integer"),
+        ("change_rank", 0, "change_rank must be at least 1"),
+        ("change_rank", 1001, "change_rank must be at most 1000"),
+        ("change_bin", 60, "change_bin must be at most 59"),
+        ("seed", -1, "seed must be at least 0"), ("seed", 1.0, "seed must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SynthConfig(**{name: bad})
+    # any rank is in range without keys; a rank is still at least 1
+    assert SynthConfig(dim=0).change_rank == 500
+    with pytest.raises(ValueError, match="^change_rank must be at least 1$"):
+        SynthConfig(dim=0, change_rank=0)
     numpy_seed = SynthConfig(dim=40, change_rank=3, seed=np.uint64(2**63 + 1))
     assert np.array_equal(generate(numpy_seed).counts, oracle_generate(numpy_seed)[0])
+    # numpy integers are kept as Python ints, so arithmetic on a field cannot wrap
+    narrow = SynthConfig(dim=np.uint8(255), bins=np.int8(20), change_rank=np.uint8(255),
+                         change_bin=np.int16(10), seed=np.uint8(255))
+    assert all(type(v) is int for v in (narrow.dim, narrow.bins, narrow.change_rank,
+                                        narrow.change_bin, narrow.seed))
+    assert generate(narrow).counts.shape == (255, 20)
     with pytest.raises(ValueError):
         SynthConfig(bins=10, change_bin=10)
     with pytest.raises(ValueError):
@@ -251,9 +274,11 @@ def test_dense_csv_bad_numbers_name_their_line(row):
 def test_bins_beyond_two_to_the_21_rejected():
     # the rank kernel's int64 sums hold up to 2^21 bins; nothing here allocates them
     assert SynthConfig(bins=2**21, change_bin=1).bins == 2**21
-    with pytest.raises(ValueError, match="2\\^21"):
+    with pytest.raises(ValueError, match="^bins must be at most 2097152$"):
         SynthConfig(bins=2**21 + 1, change_bin=1)
     empty, _ = read_dense_csv(io.StringIO("key,bin,count\n"), bins=2**21)
     assert empty.counts.shape == (0, 2**21)
-    with pytest.raises(ValueError, match="2\\^21"):
+    with pytest.raises(ValueError, match="^bins must be at least 2$"):
+        read_dense_csv(io.StringIO("key,bin,count\n1,1,1\n"), bins=1)
+    with pytest.raises(ValueError, match="^bins must be at most 2097152$"):
         read_dense_csv(io.StringIO("key,bin,count\n1,1,1\n"), bins=2**21 + 1)

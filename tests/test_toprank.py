@@ -111,10 +111,14 @@ def test_candidates_budget_single():
 
 
 def test_candidates_need_a_positive_depth_and_budget():
-    with pytest.raises(ValueError, match="depth must be at least 1"):
+    with pytest.raises(ValueError, match="^depth must be at least 1$"):
         candidates(leaders_tops(), 0)
-    with pytest.raises(ValueError, match="budget must be at least 1"):
+    with pytest.raises(ValueError, match="^budget must be at least 1$"):
         candidates(leaders_tops(), 2, 0)
+    with pytest.raises(ValueError, match="^depth must be an integer$"):
+        candidates(leaders_tops(), 1.5)
+    with pytest.raises(ValueError, match="^budget must be an integer$"):
+        candidates(leaders_tops(), 2, True)
 
 
 def test_censor_fully_selected_key_is_uncensored():
