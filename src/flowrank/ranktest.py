@@ -14,9 +14,12 @@ strictly increasing transform of the values leaves every output
 bit-identical, and no distributional assumptions on the counts are
 needed.
 
-One kernel, `statistic_batch`, tests every row of an N x P matrix. Each
-method reduces a window to per-key `Scores`, the only per-window result:
-`alarm_order` picks and orders its alarms, and the ROC harness sweeps it.
+One kernel, `statistic_batch`, tests every row of an N x P matrix. It
+tests each distinct (row, flags) pair once, found by a fingerprint and
+checked value by value, and works through the rows in blocks, so its
+scratch memory stays O(N) plus one block. Each method reduces a window
+to per-key `Scores`, the only per-window result: `alarm_order` picks and
+orders its alarms, and the ROC harness sweeps it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ _SMALL_STAT = 0.2
 _MAX_TERMS = 100
 # Rows per kernel block; bounds the kernel's B x P scratch arrays
 _BLOCK_ROWS = 128
+# 2^64 / golden ratio, odd: its powers weight a row's entries in its fingerprint
+_GOLDEN = 0x9E3779B97F4A7C15
 # p_alarm of a key a method never tests; above any decision threshold
 NEVER_TESTED = 2.0
 
@@ -59,8 +64,7 @@ class CensoredSeries:
         x, obs = np.array(self.x), np.array(self.observed, dtype=bool)
         if x.ndim != 1 or obs.shape != x.shape:
             raise ValueError("x and observed must be 1-d sequences of equal length")
-        if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
-            raise ValueError("values must be finite integers or floats")
+        _check_values(x)
         if x.size and x.min() < 0:
             raise ValueError("values must be nonnegative")
         x.setflags(write=False)
@@ -157,72 +161,135 @@ def _check_bins(bins: int) -> None:
         raise ValueError(f"at most 2^21 = {MAX_BINS} bins: the int64 score sums would wrap")
 
 
+def _check_values(x: np.ndarray) -> None:
+    kind = x.dtype.kind
+    # min and max propagate NaN and need no N x P temporary
+    if kind not in "iuf" or (kind == "f" and x.size and not np.isfinite([x.min(), x.max()]).all()):
+        raise ValueError("values must be finite integers or floats")
+
+
 def _block(x: np.ndarray, observed: np.ndarray):
-    """Score sums, paths, statistics, change bins and degeneracy of a row block.
+    """Score sums, their partial sums and norms, statistics, change bins and degeneracy.
 
     One sort per row gives every score sum in O(P log P). In sorted order,
     u_s = observed_s * #{t : x_t < x_s} - #{t : observed_t and x_t > x_s}
     is the position where x_s's tie group starts (when x_s is observed)
-    minus the number of observed flags after the group's end.
+    minus the number of observed flags after the group's end. The block
+    is handled as one flat array: a row start always starts a tie group,
+    so the groups never span two rows.
     """
     if x.shape[1] < 2:
         raise ValueError("need at least two bins")
-    if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
-        raise ValueError("values must be finite integers or floats")
     rows, bins = x.shape
-    order = np.argsort(x, axis=1, kind="stable")
-    xs = np.take_along_axis(x, order, axis=1)
-    obs = np.take_along_axis(observed, order, axis=1)
-    # cut[:, j]: sorted positions j-1 and j lie in different tie groups
-    cut = np.ones((rows, bins + 1), dtype=bool)
-    cut[:, 1:-1] = xs[:, 1:] != xs[:, :-1]
-    pos = np.arange(bins)
-    first = np.maximum.accumulate(np.where(cut[:, :-1], pos, 0), axis=1)
-    last = np.minimum.accumulate(np.where(cut[:, :0:-1], pos[::-1], bins - 1), axis=1)[:, ::-1]
-    seen = np.cumsum(obs, axis=1)  # at most P
-    above_minus_below = obs * first - (seen[:, -1:] - np.take_along_axis(seen, last, axis=1))
-    u = np.empty((rows, bins), dtype=np.int64)
-    np.put_along_axis(u, order, above_minus_below, axis=1)
+    size = rows * bins
+    row_start = np.arange(0, size, bins)
+    # flat[k]: flat index of the k-th smallest entry of its row, ties in bin order
+    flat = (np.argsort(x, axis=1, kind="stable") + row_start[:, None]).ravel()
+    xs, obs = x.ravel()[flat], observed.ravel()[flat]
+    cut = np.empty(size, dtype=bool)
+    np.not_equal(xs[1:], xs[:-1], out=cut[1:])
+    cut[row_start] = True
+    group = np.flatnonzero(cut)  # flat start of each tie group
+    width = np.diff(group, append=size)
+    row = group // bins
+    # observed flags through each group's end, and after it within the row
+    seen = np.cumsum(np.add.reduceat(obs, group, dtype=np.int64))
+    after = np.cumsum(np.count_nonzero(observed, axis=1))[row] - seen
+    u = np.empty(size, dtype=np.int64)
+    u[flat] = np.where(obs, np.repeat(group - row * bins, width), 0) - np.repeat(after, width)
+    u = u.reshape(rows, bins)
     # |u_s| <= P - 1: denom <= P(P-1)^2 < 2^63 and |cumsum| <= P(P-1) for P <= MAX_BINS
-    denom = (u * u).sum(axis=1)
+    denom = np.einsum("ij,ij->i", u, u)
     # a degenerate row has u == 0, so dividing by 1 keeps its path at zero
-    path = np.cumsum(u, axis=1) / np.sqrt(np.maximum(denom, 1))[:, None]
-    abs_path = np.abs(path)
-    idx = abs_path.argmax(axis=1)  # argmax returns the first maximum
-    w = abs_path[np.arange(rows), idx]
-    return u, path, w, idx + 1, denom == 0
+    norm = np.sqrt(np.maximum(denom, 1))
+    partial = np.cumsum(u, axis=1)
+    # |partial| < 2^53 is exact in float64 and dividing by norm > 0 keeps its
+    # strict order, so the first maximum of |partial| is the path's
+    idx = np.abs(partial).argmax(axis=1)
+    w = np.abs(partial[np.arange(rows), idx]) / norm
+    return u, partial, norm, w, idx + 1, denom == 0
+
+
+def _fingerprints(x: np.ndarray, observed: Optional[np.ndarray]) -> np.ndarray:
+    """A uint64 hash of each row's values and, when given, its flags.
+
+    Each value's 64-bit pattern, its high half folded into its low half,
+    and each flag are weighted by the powers of the odd 64-bit
+    golden-ratio constant and summed mod 2^64. The fold keeps floats'
+    high bits, which a product mod 2^64 would shift out. The constants
+    are fixed, so importing this module draws no random numbers.
+    """
+    n, bins = x.shape
+    weight = np.cumprod(np.full(2 * bins, _GOLDEN, dtype=np.uint64))
+    wide = np.float64 if x.dtype.kind == "f" else np.int64
+    fp = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        bits = x[rows].astype(wide, copy=False).view(np.uint64)
+        fp[rows] = (bits ^ bits >> 32) @ weight[:bins]
+        if observed is not None:
+            fp[rows] += observed[rows] @ weight[bins:]
+    return fp
+
+
+def _representatives(
+    x: np.ndarray, observed: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows to test, and for each row the index among them of the row it repeats.
+
+    Rows are grouped by fingerprint and each is compared with its group's
+    first row, its representative; a row that differs (a fingerprint
+    collision) is its own representative, and so is tested.
+    """
+    _, first, inverse = np.unique(
+        _fingerprints(x, observed), return_index=True, return_inverse=True
+    )
+    rep = first[inverse]
+    repeats = np.flatnonzero(rep != np.arange(rep.size))
+    for lo in range(0, repeats.size, _BLOCK_ROWS):
+        rows = repeats[lo:lo + _BLOCK_ROWS]
+        same = (x[rows] == x[rep[rows]]).all(axis=1)
+        if observed is not None:
+            same &= (observed[rows] == observed[rep[rows]]).all(axis=1)
+        rep[rows[~same]] = rows[~same]
+    tested = rep == np.arange(rep.size)
+    return np.flatnonzero(tested), np.cumsum(tested)[rep] - 1
 
 
 def statistic_batch(x: np.ndarray, observed: Optional[np.ndarray] = None) -> BatchOutcome:
     """Run the rank test on every row of an N x P matrix.
 
     `observed` (same shape, default all set) flags the retained bins.
-    Row i equals `statistic` on row i bit for bit. Rows go through in
-    blocks of `_BLOCK_ROWS` in the dtype given, each reduced to per-row
-    results before the next, so scratch memory does not grow with N.
+    Row i equals `statistic` on row i bit for bit. Each distinct
+    (row, flags) pair is tested once, and the rows that repeat it share
+    its outcome. Rows are fingerprinted, checked against their
+    representative and tested in blocks of `_BLOCK_ROWS`, in the dtype
+    given, so scratch memory stays O(N) plus one block.
     """
     x = np.asarray(x)
     _check_bins(x.shape[-1] if x.ndim == 2 else 0)  # before anything is allocated
-    observed = np.ones(x.shape, dtype=bool) if observed is None else np.asarray(observed, bool)
-    if x.ndim != 2 or observed.shape != x.shape:
+    observed = None if observed is None else np.asarray(observed, dtype=bool)
+    if x.ndim != 2 or (observed is not None and observed.shape != x.shape):
         raise ValueError("x and observed must be N x P matrices of equal shape")
-    n = x.shape[0]
-    w_stat, change_bin, degenerate = np.zeros(n), np.ones(n, np.int64), np.zeros(n, bool)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        block = _block(x[rows], observed[rows])
-        w_stat[rows], change_bin[rows], degenerate[rows] = block[2:]
+    _check_values(x)  # before any fingerprint: NaN or inf must not reach the arithmetic
+    todo, k = _representatives(x, observed)
+    w_stat, degenerate = np.zeros(todo.size), np.zeros(todo.size, bool)
+    change_bin = np.ones(todo.size, np.int64)
+    for lo in range(0, todo.size, _BLOCK_ROWS):
+        rows, out = todo[lo:lo + _BLOCK_ROWS], slice(lo, lo + _BLOCK_ROWS)
+        flags = np.ones((rows.size, x.shape[1]), bool) if observed is None else observed[rows]
+        w_stat[out], change_bin[out], degenerate[out] = _block(x[rows], flags)[3:]
     # a window repeats few statistics, so each distinct one gets one `pvalue` call
     distinct, where = np.unique(w_stat, return_inverse=True)
-    p_value = np.array([pvalue(b) for b in distinct.tolist()], dtype=np.float64)[where]
-    return BatchOutcome(w_stat, p_value, change_bin, degenerate)
+    p_value = np.fromiter(map(pvalue, distinct.tolist()), np.float64, distinct.size)[where]
+    return BatchOutcome(w_stat[k], p_value[k], change_bin[k], degenerate[k])
 
 
 def statistic(series: CensoredSeries) -> TestOutcome:
     """Run the censored rank test on one series (one-row `statistic_batch`)."""
     _check_bins(series.x.size)
-    u, path, w, change_bin, degenerate = _block(series.x[None], series.observed[None])
-    u, path, w_stat = u[0], path[0], float(w[0])
+    u, partial, norm, w, change_bin, degenerate = _block(series.x[None], series.observed[None])
+    u, path, w_stat = u[0], partial[0] / norm[0], float(w[0])
     u.setflags(write=False)
     path.setflags(write=False)
     return TestOutcome(w_stat, pvalue(w_stat), int(change_bin[0]), path, u, bool(degenerate[0]))

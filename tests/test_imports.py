@@ -3,7 +3,8 @@
 Every launch is a fresh interpreter, so a module-level import of a heavy
 dependency is paid by every command. These tests run the commands in a
 fresh interpreter and list the scipy modules loaded by the end; scipy is
-installed only as a test reference (`tests/oracles.py`).
+installed only as a test reference (`tests/oracles.py`). Nor does the
+launch load `numpy.random`: only the commands that draw numbers need it.
 """
 
 import json
@@ -20,7 +21,8 @@ from flowrank.ingest import FLOW_HEADER
 
 SRC = Path(flowrank.__file__).resolve().parents[1]
 
-# runs `flowrank.cli.main(argv)` and prints its exit code and the scipy modules loaded
+# runs `flowrank.cli.main(argv)` and prints its exit code and the scipy and
+# numpy.random modules loaded
 CHILD = """
 import json, sys
 import flowrank
@@ -30,7 +32,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"code": code, "flowrank": flowrank.__file__, "scipy": scipy}))
+random = sorted(m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random."))
+print(json.dumps({"code": code, "flowrank": flowrank.__file__, "scipy": scipy, "random": random}))
 """
 
 
@@ -81,10 +84,22 @@ def test_command_does_not_import_scipy(argv, tiny_flow_csv, tmp_path):
     assert result["scipy"] == []
 
 
+@pytest.mark.parametrize("argv", [["--version"], None], ids=["version", "import"])
+def test_launch_does_not_load_numpy_random(argv, tmp_path):
+    # numpy.random adds about 6 MB to a launch's peak RSS and time to its setup;
+    # `import flowrank.cli` and `--version` draw no numbers, so they must not load it
+    code = CHILD if argv else CHILD.replace("code = main(sys.argv[1:])", "code = 0")
+    result = run_fresh(code, argv or [], tmp_path)
+    assert result["code"] == 0
+    assert result["random"] == []
+
+
 def test_probe_sees_scipy_when_it_is_loaded(tmp_path):
-    # canary: the empty lists above mean something only if the probe can see scipy
-    code = CHILD.replace("from flowrank.cli import main", "import scipy.special; main = lambda argv: 0")
-    assert "scipy.special" in run_fresh(code, [], tmp_path)["scipy"]
+    # canary: the empty lists above mean something only if the probe can see them
+    code = CHILD.replace("from flowrank.cli import main",
+                         "import scipy.special, numpy.random; main = lambda argv: 0")
+    result = run_fresh(code, [], tmp_path)
+    assert "scipy.special" in result["scipy"] and "numpy.random" in result["random"]
 
 
 def test_fisher_runs_with_scipy_blocked(tmp_path):

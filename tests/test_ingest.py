@@ -482,6 +482,41 @@ def test_undecodable_bytes_fail_their_own_line(tmp_path):
     assert_same_columns(got, from_records([parse_record(VALID)] * 2))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 11),
+       st.binary(max_size=6).filter(lambda raw: b"\n" not in raw and b"\r" not in raw))
+@example(3, 7, b"\xff")  # not UTF-8
+@example(0, 6, b"\x7f")  # DEL, the byte screen's line separator
+@example(5, 11, b"\x00")
+@example(2, 4, b"1,2")  # one field more
+@example(1, 9, b"1")  # still a valid line
+def test_arbitrary_bytes_in_one_field_fail_only_their_line(tmp_path_factory, at, field, raw):
+    lines = [flow_line(10.0 + i, dst_ip=i % 3, proto=("TCP", "UDP")[i % 2]) for i in range(6)]
+    fields = [f.encode() for f in lines[at].split(",")]
+    fields[field] = raw
+    odd = b",".join(fields).decode("utf-8", "surrogateescape")  # as the reader decodes it
+    path = tmp_path_factory.mktemp("bytes") / "flows.csv"
+    path.write_bytes(b"\n".join([FLOW_HEADER.encode(), *(
+        b",".join(fields) if i == at else line.encode() for i, line in enumerate(lines))]) + b"\n")
+    others = [parse_record(line) for i, line in enumerate(lines) if i != at]
+    skipped = Counter()
+    got = read_flow_csv(str(path), errors="skip", skipped=skipped)
+    try:
+        record = parse_record(odd, at + 2)
+    except RecordError as exc:
+        with pytest.raises(ParseError) as info:
+            read_flow_csv(str(path))
+        assert (info.value.line_no, str(info.value), info.value.reason) == (
+            at + 2, str(exc), exc.reason)
+        assert skipped == {exc.reason: 1}
+        assert_same_columns(got, from_records(others))
+    else:
+        want = from_records(others[:at] + [record] + others[at:])
+        assert not skipped
+        assert_same_columns(got, want)
+        assert_same_columns(read_flow_csv(str(path)), want)
+
+
 def record_line(**fields):
     """VALID with some fields replaced, by name."""
     values = dict(zip(FLOW_COLUMNS, VALID.rstrip().split(",")), **fields)

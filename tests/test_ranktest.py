@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from unittest.mock import patch
+import warnings
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -182,6 +183,82 @@ def test_statistic_batch_matches_cube_and_brute_oracles():
             assert many.degenerate[i] == ref["degenerate"], name
 
 
+def repeat_cases(rng):
+    """(name, x, observed) batches whose rows repeat, for the distinct-row pass."""
+    rows = 2 * ranktest._BLOCK_ROWS + 37
+    pick = rng.integers(0, 7, rows)
+    counts, flags = rng.poisson(1.5, (7, 12)), rng.random((7, 12)) < 0.7
+    small = rng.integers(0, 3, (7, 10))
+    signed_zeros = np.array([0.0, -0.0, 1.0, 2.0])[rng.integers(0, 4, (rows, 5))]
+    return [
+        ("repeated rows", counts[pick], flags[pick]),
+        ("repeated rows, uncensored", counts[pick], None),
+        ("equal x, other flags", np.tile(counts[0], (rows, 1)), flags[rng.integers(0, 7, rows)]),
+        ("0.0 and -0.0", signed_zeros, signed_zeros.astype(np.int64) % 2 == 0),
+        ("0.0 and -0.0, uncensored", signed_zeros, None),
+        ("int64 near 2^63", np.iinfo(np.int64).max - small[pick], flags[pick][:, :10]),
+        ("uint64 above 2^63", np.iinfo(np.uint64).max - small[pick].astype(np.uint64), None),
+    ]
+
+
+def rows_tested(x, observed):
+    """The rows `statistic_batch(x, observed)` hands to the kernel."""
+    tested, kernel = [], ranktest._block
+
+    def block(xb, flags):
+        tested.extend(zip(map(bytes, xb), map(bytes, flags)))
+        return kernel(xb, flags)
+
+    with patch.object(ranktest, "_block", block):
+        out = statistic_batch(x, observed)
+    return out, tested
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["fingerprints", "all-colliding"])
+@pytest.mark.parametrize("n", [0, 1, ranktest._BLOCK_ROWS, 2 * ranktest._BLOCK_ROWS + 37])
+def test_each_distinct_row_is_tested_once_with_the_same_bits(n, collide):
+    # with every fingerprint equal, only the row-by-row check keeps rows apart
+    rng = np.random.default_rng(29)
+    for name, x, observed in repeat_cases(rng):
+        x, observed = x[:n], None if observed is None else observed[:n]
+        flags = np.ones(x.shape, bool) if observed is None else observed
+        with patch.object(ranktest, "_GOLDEN", 0 if collide else ranktest._GOLDEN):
+            assert collide <= (np.unique(ranktest._fingerprints(x, observed)).size <= 1)
+            many, tested = rows_tested(x, observed)
+        cube = cube_statistic(x, flags)
+        assert np.array_equal(many.w_stat, cube["w"]), name
+        assert np.array_equal(many.change_bin, cube["change_bin"]), name
+        assert np.array_equal(many.degenerate, cube["degenerate"]), name
+        assert many.p_value.tolist() == [pvalue(b) for b in cube["w"].tolist()], name
+        for i in range(n):
+            one = statistic(CensoredSeries(1, x[i], flags[i]))
+            assert (one.w_stat, one.p_value) == (many.w_stat[i], many.p_value[i]), name
+            assert (one.change_bin, one.degenerate) == (many.change_bin[i], many.degenerate[i]), name
+        if not collide:
+            # by bit pattern: 0.0 and -0.0 fingerprint apart, so each is tested
+            distinct = set(zip(map(bytes, x), map(bytes, flags)))
+            assert len(tested) == len(distinct) and set(tested) == distinct, name
+
+
+def test_statistic_batch_scratch_is_rows_plus_one_block():
+    # 20,000 x 60 counts from 500 distinct rows: the fingerprints, checks and
+    # outcomes are O(N), and one more N x P temporary, even of bool, breaks the bound
+    rng = np.random.default_rng(41)
+    n, bins = 20_000, 60
+    pick = rng.integers(0, 500, n)
+    x = rng.poisson(2.0, (500, bins))[pick]
+    observed = (rng.random((500, bins)) < 0.8)[pick]
+    bound = 64 * n + 64 * ranktest._BLOCK_ROWS * bins
+    for flags in (None, observed):
+        tracemalloc.start()
+        try:
+            statistic_batch(x, flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound < x.size * x.itemsize // 4
+
+
 def test_statistic_batch_empty_and_shape_checks():
     out = statistic_batch(np.zeros((0, 5)))
     assert out.w_stat.shape == out.p_value.shape == out.change_bin.shape == (0,)
@@ -226,6 +303,28 @@ def test_nonfinite_values_rejected(bad):
         statistic_batch(x)
     with pytest.raises(ValueError):
         statistic_batch([[1.0, bad, 2.0]])
+
+
+def with_value(value, dtype=None):
+    x = np.ones((300, 4), dtype=dtype)
+    x[200, 1] = value  # in the second kernel block
+    return x
+
+
+@pytest.mark.parametrize("x", [
+    with_value(np.nan), with_value(np.inf), with_value(-np.inf), with_value(np.nan, np.float32),
+    with_value(False, bool), with_value(2, object), [[1.0, np.nan, 2.0]],
+], ids=["nan", "inf", "-inf", "float32-nan", "bool", "object", "list"])
+def test_bad_values_are_refused_before_any_fingerprint_or_block(x):
+    # NaN or inf in the fingerprint arithmetic would warn, an error under -W error
+    built = Mock(side_effect=AssertionError("built before the values were checked"))
+    with warnings.catch_warnings(), patch.object(ranktest, "_fingerprints", built), \
+            patch.object(ranktest, "_block", built):
+        warnings.simplefilter("error")
+        for observed in (None, np.ones(np.shape(x), dtype=bool)):
+            with pytest.raises(ValueError, match="finite integers or floats"):
+                statistic_batch(x, observed)
+    built.assert_not_called()
 
 
 def test_kernel_rejects_more_bins_than_its_int64_sums_hold():
