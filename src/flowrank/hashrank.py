@@ -155,14 +155,20 @@ class SketchTable:
 
 def build_sketch(batch: WindowBatch, coeffs: HashCoefficients) -> SketchTable:
     """Hash every key of the window into the L x K table; each row sums
-    its buckets' blocks of key-sorted count rows with one `np.add.reduceat`."""
+    its buckets' blocks of key-sorted count rows with one `np.add.reduceat`.
+    A window with a bin whose total over all keys exceeds int64 raises ValueError."""
+    # a bucket sum is at most its bin's total: sum exactly each bin whose total may exceed int64
+    limit = np.iinfo(np.int64).max
+    suspect = np.flatnonzero(batch.counts.max(axis=0, initial=0) > limit // max(batch.num_keys, 1))
+    over = suspect[batch.counts[:, suspect].astype(object).sum(axis=0) > limit]
+    if over.size:
+        raise ValueError(f"the counts of bin {over[0]} (0-based) sum beyond int64 over all keys")
     buckets = hash_buckets(coeffs, batch.keys)
     series = np.zeros((coeffs.l_rows, coeffs.k_buckets, batch.bins), dtype=np.int64)
     for row, bucket in enumerate(buckets):
         order = np.argsort(bucket, kind="stable")
         ordered = bucket[order]
         starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        # as `from_cells` states: < 2^31 contributions below 2^32 per bin sum below 2^63
         series[row, ordered[starts]] = np.add.reduceat(batch.counts[order], starts, axis=0)
     return SketchTable(series=series, keys=batch.keys, buckets=buckets)
 

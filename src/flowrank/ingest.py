@@ -21,9 +21,11 @@ instead. Either way the converted rows are checked against `_RULES`, the
 record rules in the order a line is checked. Every other nonblank line,
 and every row a rule rejects, is split by Python `float()` and `int()`
 and checked against the same rules: it is either accepted with the same
-values or rejected with the `ParseError` that names its line and the
-first rule it breaks. A file is decoded as UTF-8 with each undecodable
-byte kept as a lone surrogate, so a line holding one fails on its own.
+values or reported with the `ParseError` that names its line and the
+first rule it breaks. The chunk reader returns these errors with the
+chunk's records; `read_flow_csv` alone raises the first or counts them.
+A file is decoded as UTF-8 with each undecodable byte kept as a lone
+surrogate, so a line holding one fails on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .model import COUNTERS, METRIC_FIELDS, U16_MAX, U32_MAX, Protocol, WindowBatch, WindowConfig
+from .model import U32_MAX, MetricKind, Protocol, WindowBatch, WindowConfig
 
 
 class FlowColumns(NamedTuple):
@@ -60,14 +62,11 @@ class FlowColumns(NamedTuple):
     fin: np.ndarray
     rst: np.ndarray
 
-    def take(self, index: np.ndarray) -> FlowColumns:
-        """The rows at `index` (an index array or boolean mask)."""
-        return FlowColumns(*(col[index] for col in self))
-
 
 # the CSV field order, which every reader shares
 FLOW_COLUMNS = FlowColumns._fields
 FLOW_HEADER = ",".join(FLOW_COLUMNS)
+COUNTERS = ("packets", "syn", "synack", "fin", "rst")
 
 PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
 _PROTOCOL_CODES = {p.value: code for code, p in enumerate(PROTOCOLS)}
@@ -75,6 +74,7 @@ _TCP = _PROTOCOL_CODES["TCP"]
 _PROTO = FLOW_COLUMNS.index("proto")
 CHUNK_LINES = 1 << 12
 TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
+U16_MAX = 0xFFFF
 
 # The byte screen. A line goes to np.loadtxt when it holds exactly 11
 # commas, no byte but those commas and `_FIELD_BYTES`, and no newline but
@@ -236,62 +236,52 @@ def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     return at, _convert([lines[i] for i in at.tolist()])
 
 
-def _split(line: str, line_no: int) -> list:
-    """The values of a nonblank line by `float()` and `int()`, with `proto` as text."""
+def _split(line: str, line_no: int) -> Union[list, ParseError]:
+    """The values of a nonblank line by `float()` and `int()`, with `proto` as text,
+    or the `ParseError` of a line they cannot read."""
     fields = line.strip().split(",")
     if len(fields) != len(FLOW_COLUMNS):
         message = f"expected {len(FLOW_COLUMNS)} fields, got {len(fields)}"
-        raise ParseError(line_no, message, "field count")
+        return ParseError(line_no, message, "field count")
     try:
         return [float(fields[0]), float(fields[1]), *map(int, fields[2:6]), fields[6],
                 *map(int, fields[7:])]
     except ValueError as exc:
-        raise ParseError(line_no, f"unparseable number: {exc}", "number") from None
+        return ParseError(line_no, f"unparseable number: {exc}", "number")
 
 
-def _read_chunk(
-    lines: list[str], first_line_no: int, errors: str, skipped: Optional[Counter]
-) -> FlowColumns:
+def _read_chunk(lines: list[str], first_line_no: int) -> tuple[FlowColumns, list[ParseError]]:
+    """A chunk's records, and the `ParseError` of each bad nonblank line in line order."""
     at, cols = _screen(lines)
     ok = _reasons(cols) == 0
     if ok.all() and at.size == len(lines):
-        return cols
+        return cols, []
     # every other nonblank line is split in Python and checked by the same rules
     redo = np.ones(len(lines), dtype=bool)
     redo[at[ok]] = False
-    values, value_at, split_error = [], [], None
+    values, value_at, bad = [], [], []
     for i in np.flatnonzero(redo).tolist():
-        if not lines[i].strip():
-            continue
-        try:
-            values.append(_split(lines[i], first_line_no + i))
-            value_at.append(i)
-        except ParseError as exc:
-            if errors == "raise":
-                split_error = exc  # no later line can be the first bad one
-                break
-            if skipped is not None:
-                skipped[exc.reason] += 1
+        if lines[i].strip():
+            row = _split(lines[i], first_line_no + i)
+            if isinstance(row, ParseError):
+                bad.append(row)
+            else:
+                values.append(row)
+                value_at.append(i)
     # object columns keep every value exact, 10**20 included
     table = np.array(values, dtype=object).reshape(-1, len(FLOW_COLUMNS))
     table[:, _PROTO] = [_PROTOCOL_CODES.get(text, -1) for text in table[:, _PROTO]]
-    split = FlowColumns(*table.T)
-    codes = _reasons(split)
-    broken = np.flatnonzero(codes).tolist()
-    if errors == "raise" and broken:
-        row, rule = values[broken[0]], _RULES[codes[broken[0]] - 1]
+    codes = _reasons(FlowColumns(*table.T))
+    for k in np.flatnonzero(codes).tolist():
+        row, rule = values[k], _RULES[codes[k] - 1]
         message = rule.message.format(**dict(zip(FLOW_COLUMNS, row)), flags=sum(row[8:]))
-        raise ParseError(first_line_no + value_at[broken[0]], message, rule.reason)
-    if split_error is not None:
-        raise split_error
-    if skipped is not None:
-        skipped.update(_RULES[code - 1].reason for code in codes[broken].tolist())
+        bad.append(ParseError(first_line_no + value_at[k], message, rule.reason))
+    bad.sort(key=lambda exc: exc.line_no)
     keep = codes == 0
     # each split row goes in before the first screened row of a later line
     where = np.searchsorted(at[ok], np.array(value_at, dtype=np.intp)[keep])
-    return FlowColumns(*(
-        np.insert(col[ok], where, rows) for col, rows in zip(cols, _typed(split.take(keep)))
-    ))
+    split = _typed(table[keep].T)
+    return FlowColumns(*(np.insert(col[ok], where, rows) for col, rows in zip(cols, split))), bad
 
 
 def read_flow_csv(
@@ -320,7 +310,12 @@ def read_flow_csv(
     chunks = [_typed([()] * len(FLOW_COLUMNS))]
     line_no = 2
     while chunk := list(islice(lines, CHUNK_LINES)):
-        chunks.append(_read_chunk(chunk, line_no, errors, skipped))
+        records, bad = _read_chunk(chunk, line_no)
+        if bad and errors == "raise":  # abort before reading the next chunk
+            raise bad.pop(0)  # popped: this frame, in its traceback, must not hold it
+        if skipped is not None:
+            skipped.update(exc.reason for exc in bad)
+        chunks.append(records)
         line_no += len(chunk)
     return FlowColumns(*(np.concatenate(cols) for cols in zip(*chunks)))
 
@@ -337,6 +332,16 @@ def iter_flow_csv(
     cols = read_flow_csv(source, errors)
     proto = np.array(PROTOCOLS, dtype=object)[cols.proto]
     yield from zip(*(col.tolist() for col in cols._replace(proto=proto)))
+
+
+# metric -> (protocol the record must have or None, key field, value field,
+# whether the value is a token counted once per bin rather than a count)
+METRIC_FIELDS = {
+    MetricKind.SYN_FLOOD: (Protocol.TCP, "dst_ip", "syn", False),
+    MetricKind.UDP_FLOOD: (Protocol.UDP, "dst_ip", "packets", False),
+    MetricKind.PORT_SCAN: (Protocol.TCP, "dst_ip", "dst_port", True),
+    MetricKind.NET_SCAN: (None, "src_ip", "dst_ip", True),
+}
 
 
 def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBatch]:

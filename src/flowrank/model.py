@@ -1,7 +1,8 @@
 """Core domain types shared by the detection pipelines.
 
 Protocols, metric definitions, window configuration and windows; flow
-records exist only inside `ingest`, which holds their rules.
+records exist only inside `ingest`, which holds their fields and rules
+and what each metric reads of them.
 A window (`WindowBatch`) is ascending keys int64[N] plus their
 counts int64[N, P], read directly by every detector. Everything here is
 an immutable value object whose constructor validates its invariants, so
@@ -19,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 U32_MAX = 0xFFFFFFFF
-U16_MAX = 0xFFFF
 # The most bins a window may span. The rank kernel's int64 sum of squared
 # scores is at most P(P-1)^2, below 2^63 for P <= 2^21 (it wraps near 3.03M).
 MAX_BINS = 1 << 21
@@ -66,19 +66,6 @@ def check_int(name: str, value, least: int, most: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be at least {least}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be at most {most}")
-
-
-COUNTERS = ("packets", "syn", "synack", "fin", "rst")
-
-
-# metric -> (protocol the record must have or None, key field, value field,
-# whether the value is a token counted once per bin rather than a count)
-METRIC_FIELDS = {
-    MetricKind.SYN_FLOOD: (Protocol.TCP, "dst_ip", "syn", False),
-    MetricKind.UDP_FLOOD: (Protocol.UDP, "dst_ip", "packets", False),
-    MetricKind.PORT_SCAN: (Protocol.TCP, "dst_ip", "dst_port", True),
-    MetricKind.NET_SCAN: (None, "src_ip", "dst_ip", True),
-}
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,23 @@ def test_sketch_of_empty_window():
     assert alarm_order(scores, 0.5).size == 0
 
 
+def test_sketch_rejects_a_bin_total_beyond_int64():
+    def batch(bin5):
+        counts = np.ones((4, 8), dtype=np.int64)
+        counts[:, 5] = bin5
+        return WindowBatch(0, 0.0, [1, 2, 3, 4], counts)
+
+    coeffs = sample_coefficients(1, 3, 5)
+    for call in (build_sketch, score_window):
+        with pytest.raises(ValueError, match=r"bin 5 \(0-based\) sum beyond int64"):
+            call(batch([2**62, 2**62, 2**62, 1]), coeffs)
+    with pytest.raises(ValueError, match="bin 5"):
+        build_sketch(batch([2**62, 2**62 - 2, 1, 1]), coeffs)  # 2^63
+    # 2^63 - 1 fits, and sums exactly into the one bucket
+    table = build_sketch(batch([2**62, 2**62 - 2, 1, 0]), HashCoefficients([[0] * 4], 2))
+    assert table.series[0, 0, 5] == 2**63 - 1
+
+
 # --- cell tests / invert -------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flowrank import ingest
 from flowrank.ingest import (
+    COUNTERS,
     FLOW_COLUMNS,
     FLOW_HEADER,
     FlowColumns,
@@ -21,7 +22,7 @@ from flowrank.ingest import (
     read_flow_csv,
     split_windows,
 )
-from flowrank.model import COUNTERS, MetricKind, Protocol, WindowConfig
+from flowrank.model import MetricKind, Protocol, WindowConfig
 
 from oracles import FlowRecord, RecordError, bin_records, from_records, parse_record, split_records
 
@@ -395,6 +396,20 @@ def test_malformed_lines_skip_the_canonical_screen():
     assert_same_columns(got, from_records(parse_record(line) for line in good))
 
 
+def test_abort_reads_no_chunk_past_the_first_bad_line():
+    lines = [FLOW_HEADER + "\n"] + [VALID] * 8  # chunks of 4: lines 2-5 and 6-9
+    lines[6] = "1,2,3\n"  # line 7, the first bad one
+    lines[8] = FLAGS  # line 9, a later bad line in the same chunk
+
+    def source():
+        yield from lines
+        pytest.fail("read a line past the chunk of the first bad line")
+
+    with patch.object(ingest, "CHUNK_LINES", 4), pytest.raises(ParseError) as info:
+        read_flow_csv(source())
+    assert (info.value.line_no, info.value.reason) == (7, "field count")
+
+
 @pytest.mark.parametrize("odd", [
     "0.5,0.6,1,2,3,4,TC_P,3,1,1,1,0\n",  # np.loadtxt reads any proto text
     "0.5,0.6,1,2,3,4,TCP ,3,1,1,1,0\n",
@@ -594,6 +609,20 @@ def test_skip_policy_leaves_no_reference_cycles():
     gc.disable()
     try:
         read_flow_csv(src, errors="skip", skipped=Counter())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("bad", ["1,2,3", FLAGS.rstrip()])
+def test_abort_policy_leaves_no_reference_cycles(bad):
+    # a cycle through the raised ParseError would pin the columns read so far until the next gc
+    src = csv_of([flow_line(0.0)] * 10 + [bad])
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(ParseError):
+            read_flow_csv(src)
         assert gc.collect() == 0
     finally:
         gc.enable()
