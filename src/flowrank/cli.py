@@ -24,7 +24,7 @@ from .evaluate import DEFAULT_THRESHOLDS, roc, scorer
 from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError, _check_theta
 from .fisher import estimate_info_max, estimate_info_sum
 from .hashrank import sample_coefficients
-from .ingest import read_flow_csv, split_windows
+from .ingest import METRIC_FIELDS, read_flow_csv, split_windows
 from .model import DetectionMethod, MetricKind, WindowConfig, check_int
 from .ranktest import alarm_order
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
@@ -117,7 +117,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         batches = [batch]
     else:
         policy = "raise" if args.errors == "abort" else "skip"
-        batches = split_windows(read_flow_csv(args.input, errors=policy, skipped=skipped), cfg)
+        _proto, key, value, _distinct = METRIC_FIELDS[cfg.metric]
+        fields = ("ts_start", "proto", key, value)  # all that split_windows reads
+        columns = read_flow_csv(args.input, errors=policy, skipped=skipped, fields=fields)
+        batches = split_windows(columns, cfg)
     rows = []
     for batch in batches:
         scores = score(batch)

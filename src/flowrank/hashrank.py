@@ -166,7 +166,7 @@ def build_sketch(batch: WindowBatch, coeffs: HashCoefficients) -> SketchTable:
     buckets = hash_buckets(coeffs, batch.keys)
     series = np.zeros((coeffs.l_rows, coeffs.k_buckets, batch.bins), dtype=np.int64)
     for row, bucket in enumerate(buckets):
-        order = np.argsort(bucket, kind="stable")
+        order = np.argsort(bucket)  # an integer sum does not depend on the order of its keys
         ordered = bucket[order]
         starts = np.flatnonzero(np.diff(ordered, prepend=-1))
         series[row, ordered[starts]] = np.add.reduceat(batch.counts[order], starts, axis=0)

@@ -24,6 +24,8 @@ and checked against the same rules: it is either accepted with the same
 values or reported with the `ParseError` that names its line and the
 first rule it breaks. The chunk reader returns these errors with the
 chunk's records; `read_flow_csv` alone raises the first or counts them.
+Every field is read and checked, but only the fields the caller names are
+copied out of a chunk and kept.
 A file is decoded as UTF-8 with each undecodable byte kept as a lone
 surrogate, so a line holding one fails on its own.
 """
@@ -34,8 +36,9 @@ import math
 import re
 import warnings
 from collections import Counter
+from functools import partial
 from itertools import islice
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import IO, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -46,7 +49,7 @@ class FlowColumns(NamedTuple):
     """Flow records as columns, one array per CSV field, in file order.
 
     Timestamps are float64, `proto` is an int8 index into `PROTOCOLS`,
-    every other field is int64.
+    every other field is int64. A field that was not kept is None.
     """
 
     ts_start: np.ndarray
@@ -72,7 +75,7 @@ PROTOCOLS = tuple(Protocol)  # FlowColumns.proto holds indices into this
 _PROTOCOL_CODES = {p.value: code for code, p in enumerate(PROTOCOLS)}
 _TCP = _PROTOCOL_CODES["TCP"]
 _PROTO = FLOW_COLUMNS.index("proto")
-CHUNK_LINES = 1 << 12
+CHUNK_LINES = 1 << 13
 TS_LIMIT = 2.0**32  # NetFlow stamps are 32-bit unix seconds
 U16_MAX = 0xFFFF
 
@@ -111,13 +114,21 @@ class ParseError(ValueError):
     """A malformed input line, carrying its 1-based line number.
 
     `reason` names the broken rule: "header", "field count", "number",
-    "timestamp", "protocol", "range" or "flags".
+    "timestamp", "protocol", "range" or "flags". The message may be given
+    as a function of no arguments, which the first `str()` calls.
     """
 
-    def __init__(self, line_no: int, message: str, reason: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: Union[str, Callable[[], str]], reason: str):
+        super().__init__(line_no, message, reason)
         self.line_no = line_no
         self.reason = reason
+
+    def __str__(self) -> str:
+        line_no, message, reason = self.args
+        if callable(message):
+            message = message()
+            self.args = (line_no, message, reason)
+        return f"line {line_no}: {message}"
 
 
 class _Rule(NamedTuple):
@@ -158,6 +169,11 @@ _RULES = (
 )
 
 
+def _rule_message(template: str, row: list) -> str:
+    """A rule's message for a split row, formatted by field name and `flags`."""
+    return template.format(**dict(zip(FLOW_COLUMNS, row)), flags=sum(row[8:]))
+
+
 def _reasons(cols: FlowColumns) -> np.ndarray:
     """Per row, 0 if it keeps every rule, else 1 + the index of the first it breaks."""
     with np.errstate(invalid="ignore"):  # object columns warn on NaN compares
@@ -172,8 +188,14 @@ def _dtype(name: str) -> type:
 
 
 def _typed(columns: Iterable) -> FlowColumns:
-    """Copies of one sequence per field as FlowColumns of the fields' dtypes."""
-    return FlowColumns(*(np.array(c, dtype=_dtype(name)) for name, c in zip(FLOW_COLUMNS, columns)))
+    """Copies of one sequence per field, or None, as FlowColumns of the fields' dtypes."""
+    return FlowColumns(*(None if c is None else np.array(c, dtype=_dtype(name))
+                         for name, c in zip(FLOW_COLUMNS, columns)))
+
+
+def _pick(columns: Iterable, fields: Collection[str]) -> list:
+    """The columns, one per field, with None for each field not in `fields`."""
+    return [c if name in fields else None for name, c in zip(FLOW_COLUMNS, columns)]
 
 
 # proto is read wider than any protocol name, so truncation cannot make one
@@ -183,14 +205,15 @@ _LOADTXT_DTYPE = np.dtype(
 
 
 def _convert(lines: list[str]) -> FlowColumns:
-    """Columns of canonical lines; proto -1 marks an unknown name."""
+    """Columns of canonical lines, views of one record array but for `proto`,
+    where -1 marks an unknown name."""
     if not lines:
         return _typed([()] * len(FLOW_COLUMNS))
     raw = np.loadtxt(lines, delimiter=",", comments=None, dtype=_LOADTXT_DTYPE, ndmin=1)
     proto = np.full(raw.size, -1, dtype=np.int8)
     for code, p in enumerate(PROTOCOLS):
         proto[raw["proto"] == p.value] = code
-    return _typed(proto if name == "proto" else raw[name] for name in FLOW_COLUMNS)
+    return FlowColumns(*(proto if name == "proto" else raw[name] for name in FLOW_COLUMNS))
 
 
 def _reduce(lines: list[str]) -> bytes:
@@ -223,10 +246,11 @@ def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     rejects them, those of them in canonical form.
     """
     at = _screened(lines)
+    screened = lines if at.size == len(lines) else list(map(lines.__getitem__, at.tolist()))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            cols = _convert(lines if at.size == len(lines) else [lines[i] for i in at.tolist()])
+            cols = _convert(screened)
     except (ValueError, DeprecationWarning):
         pass
     else:
@@ -250,12 +274,15 @@ def _split(line: str, line_no: int) -> Union[list, ParseError]:
         return ParseError(line_no, f"unparseable number: {exc}", "number")
 
 
-def _read_chunk(lines: list[str], first_line_no: int) -> tuple[FlowColumns, list[ParseError]]:
-    """A chunk's records, and the `ParseError` of each bad nonblank line in line order."""
+def _read_chunk(
+    lines: list[str], first_line_no: int, fields: Collection[str]
+) -> tuple[FlowColumns, list[ParseError]]:
+    """A chunk's records, only `fields` of them kept, and the `ParseError` of
+    each bad nonblank line in line order."""
     at, cols = _screen(lines)
     ok = _reasons(cols) == 0
     if ok.all() and at.size == len(lines):
-        return cols, []
+        return _typed(_pick(cols, fields)), []
     # every other nonblank line is split in Python and checked by the same rules
     redo = np.ones(len(lines), dtype=bool)
     redo[at[ok]] = False
@@ -273,33 +300,40 @@ def _read_chunk(lines: list[str], first_line_no: int) -> tuple[FlowColumns, list
     table[:, _PROTO] = [_PROTOCOL_CODES.get(text, -1) for text in table[:, _PROTO]]
     codes = _reasons(FlowColumns(*table.T))
     for k in np.flatnonzero(codes).tolist():
-        row, rule = values[k], _RULES[codes[k] - 1]
-        message = rule.message.format(**dict(zip(FLOW_COLUMNS, row)), flags=sum(row[8:]))
+        rule = _RULES[codes[k] - 1]
+        message = partial(_rule_message, rule.message, values[k])  # formatted only if read
         bad.append(ParseError(first_line_no + value_at[k], message, rule.reason))
     bad.sort(key=lambda exc: exc.line_no)
     keep = codes == 0
     # each split row goes in before the first screened row of a later line
     where = np.searchsorted(at[ok], np.array(value_at, dtype=np.intp)[keep])
-    split = _typed(table[keep].T)
-    return FlowColumns(*(np.insert(col[ok], where, rows) for col, rows in zip(cols, split))), bad
+    split = _typed(_pick(table[keep].T, fields))
+    return FlowColumns(*(None if rows is None else np.insert(col[ok], where, rows)
+                         for col, rows in zip(cols, split))), bad
 
 
 def read_flow_csv(
     source: Union[str, IO[str], Iterable[str]],
     errors: str = "raise",
     skipped: Optional[Counter] = None,
+    fields: Collection[str] = FLOW_COLUMNS,
 ) -> FlowColumns:
     """Read a flow CSV (path, file object or line iterable) into columns.
 
     `errors` selects the policy for bad lines: "raise" aborts on the
     first one, "skip" drops them and, when `skipped` is given, counts
-    them there by `ParseError.reason`. Blank lines are ignored.
+    them there by `ParseError.reason`. Blank lines are ignored. Every
+    field of a line is read and checked, whatever `fields` names, but
+    only the named fields are kept; the others are None.
     """
     if errors not in ("raise", "skip"):
         raise ValueError('errors must be "raise" or "skip"')
+    unknown = set(fields) - set(FLOW_COLUMNS)
+    if unknown:
+        raise ValueError(f"not flow fields: {sorted(unknown)}")
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return read_flow_csv(fh, errors, skipped)
+            return read_flow_csv(fh, errors, skipped, fields)
     lines = iter(source)
     try:
         header = next(lines)
@@ -307,17 +341,18 @@ def read_flow_csv(
         raise ParseError(1, "missing header", "header") from None
     if header.strip() != FLOW_HEADER:
         raise ParseError(1, f"bad header, expected {FLOW_HEADER!r}", "header")
-    chunks = [_typed([()] * len(FLOW_COLUMNS))]
+    chunks = [_typed(_pick([()] * len(FLOW_COLUMNS), fields))]
     line_no = 2
     while chunk := list(islice(lines, CHUNK_LINES)):
-        records, bad = _read_chunk(chunk, line_no)
+        records, bad = _read_chunk(chunk, line_no, fields)
         if bad and errors == "raise":  # abort before reading the next chunk
             raise bad.pop(0)  # popped: this frame, in its traceback, must not hold it
         if skipped is not None:
             skipped.update(exc.reason for exc in bad)
         chunks.append(records)
         line_no += len(chunk)
-    return FlowColumns(*(np.concatenate(cols) for cols in zip(*chunks)))
+    return FlowColumns(*(None if cols[0] is None else np.concatenate(cols)
+                         for cols in zip(*chunks)))
 
 
 def iter_flow_csv(
@@ -353,7 +388,8 @@ def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBat
     it, to bin `(t - lo) // delta`; one that rounding puts just outside
     the window's span [lo, lo + window_seconds) counts in the nearest
     edge bin. Every window holding a record is emitted, in index order,
-    a trailing partial one with its empty bins at zero.
+    a trailing partial one with its empty bins at zero. Of `columns` it
+    reads `ts_start`, `proto`, and the metric's key and value fields.
     """
     ts = columns.ts_start
     if not ts.size:
@@ -378,11 +414,13 @@ def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBat
         k, v = getattr(columns, key_field)[rows], getattr(columns, value_field)[rows]
         if distinct:
             # each distinct (key, bin, token) triple counts once; a key is
-            # below 2^32 and a bin below 2^21, so the cell fits int64
-            cell = k * bins + t
-            by_cell = np.lexsort((v, cell))
-            cell, v, k, t = cell[by_cell], v[by_cell], k[by_cell], t[by_cell]
-            new = np.ones(cell.size, dtype=bool)
-            new[1:] = (cell[1:] != cell[:-1]) | (v[1:] != v[:-1])
-            v = new.astype(np.int64)
+            # below 2^32 and a bin below 2^21, so the cell fits int64. The
+            # pairs pack the cell's index, below 2^31 as a window holds fewer
+            # than 2^31 records, over the token, below 2^32 by the range rule
+            cells, at = np.unique(k * bins + t, return_inverse=True)
+            pairs = np.sort((at << 32) | v)
+            first = np.ones(pairs.size, dtype=bool)
+            first[1:] = pairs[1:] != pairs[:-1]
+            v = np.bincount(pairs[first] >> 32, minlength=cells.size)
+            k, t = cells // bins, cells % bins
         yield WindowBatch.from_cells(int(window), lo, k, t, v, bins)

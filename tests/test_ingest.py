@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import io
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest.mock import Mock, patch
@@ -614,6 +615,33 @@ def test_skip_policy_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_skip_policy_formats_no_rule_message():
+    # under "skip" only an error's reason is read, so no rule message is formatted
+    at = next(i for i, rule in enumerate(ingest._RULES) if rule.reason == "flags")
+    refuse = Mock(format=Mock(side_effect=AssertionError("rule message formatted")))
+    rules = list(ingest._RULES)
+    rules[at] = rules[at]._replace(message=refuse)
+    lines = [flow_line(0.0), FLAGS.rstrip(), " " + FLAGS.rstrip(), flow_line(1.0)]
+    with patch.object(ingest, "_RULES", tuple(rules)):
+        skipped = Counter()
+        cols = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
+        assert skipped == {"flags": 2} and cols.ts_start.size == 2
+        with pytest.raises(ParseError) as info:
+            read_flow_csv(csv_of(lines))
+    assert (info.value.line_no, info.value.reason) == (3, "flags")
+    assert refuse.format.call_count == 0
+
+
+def test_parse_error_formats_its_message_once():
+    message = Mock(return_value="src_port=70000 outside 16-bit range")
+    exc = ParseError(7, message, "range")
+    assert message.call_count == 0
+    assert str(exc) == str(exc) == "line 7: src_port=70000 outside 16-bit range"
+    assert message.call_count == 1
+    assert (exc.line_no, exc.reason) == (7, "range")
+    assert str(ParseError(1, "missing header", "header")) == "line 1: missing header"
+
+
 @pytest.mark.parametrize("bad", ["1,2,3", FLAGS.rstrip()])
 def test_abort_policy_leaves_no_reference_cycles(bad):
     # a cycle through the raised ParseError would pin the columns read so far until the next gc
@@ -657,6 +685,105 @@ def test_counters_beyond_32_bits_rejected_under_both_policies(field):
         cols = read_flow_csv(csv_of([line(1), line(big), line(2)]), errors="skip", skipped=skipped)
         assert skipped == {"range": 1}
         assert getattr(cols, field).tolist() == [1, 2]
+
+
+# --- only the named fields are kept ------------------------------------------
+
+
+def metric_fields(metric):
+    """The fields `detect` keeps for a metric: all that split_windows reads."""
+    _proto, key, value, _distinct = ingest.METRIC_FIELDS[metric]
+    return ("ts_start", "proto", key, value)
+
+
+def assert_same_read(lines, fields):
+    """A read that keeps `fields` keeps exactly them, as the all-fields read has
+    them, and skips and aborts on the same lines with the same errors."""
+    source = [FLOW_HEADER + "\n"] + lines
+    with patch.object(ingest, "CHUNK_LINES", 8):  # several chunks, screened and split
+        every_skip, kept_skip = Counter(), Counter()
+        every = read_flow_csv(source, errors="skip", skipped=every_skip)
+        kept = read_flow_csv(source, errors="skip", skipped=kept_skip, fields=fields)
+        assert kept_skip == every_skip
+        for name, got, want in zip(FLOW_COLUMNS, kept, every):
+            if name in fields:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            else:
+                assert got is None, name
+        first = []
+        for read_fields in (FLOW_COLUMNS, fields):
+            try:
+                read_flow_csv(source, fields=read_fields)
+            except ParseError as exc:
+                first.append((exc.line_no, str(exc), exc.reason))
+            else:
+                first.append(None)
+        assert first[0] == first[1]
+    return every, kept, every_skip
+
+
+# bad lines, each with the fields its defect sits in; a space in a field sends its
+# line to the per-line split instead of np.loadtxt
+UNKEPT_DEFECTS = [
+    ({"src_port"}, record_line(src_port=70000)),
+    ({"src_port"}, record_line(src_port=" 70000")),
+    ({"ts_end"}, record_line(ts_end="1e400")),
+    ({"ts_end"}, record_line(ts_end=" nan")),
+    ({"packets", *COUNTERS}, record_line(packets=2)),  # TCP flags over packets
+    ({"packets", *COUNTERS}, record_line(packets=" 2")),
+]
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_kept_fields_match_the_all_fields_read(metric):
+    # the file's only defects sit in fields the metric does not keep
+    fields = metric_fields(metric)
+    defects = [line for touched, line in UNKEPT_DEFECTS if not touched & set(fields)]
+    assert len(defects) >= 4
+    lines = [flow_line(t / 3, dst_ip=t % 5, src_ip=t % 7, dst_port=t % 4,
+                       proto=("TCP", "UDP", "OTHER")[t % 3]) + "\n" for t in range(60)]
+    for i, line in enumerate(defects):
+        lines.insert(7 * i + 3, line + "\n")
+    every, kept, skipped = assert_same_read(lines, fields)
+    assert sum(skipped.values()) == len(defects) and every.ts_start.size == 60
+    cfg = WindowConfig(delta=1.0, bins_per_window=4, top_m=2, metric=metric)
+    for a, b in zip(split_windows(every, cfg), split_windows(kept, cfg), strict=True):
+        assert a.window_index == b.window_index and a.start_time == b.start_time
+        assert a.keys.tobytes() == b.keys.tobytes() and a.counts.tobytes() == b.counts.tobytes()
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.lists(flow_text_lines(), max_size=14) | st.lists(screened_text_lines, max_size=14),
+       st.sets(st.sampled_from(FLOW_COLUMNS)))
+def test_any_kept_fields_match_the_all_fields_read(lines, fields):
+    assert_same_read(lines, tuple(fields))
+
+
+def test_syn_read_keeps_only_the_four_metric_arrays():
+    fields = metric_fields(MetricKind.SYN_FLOOD)
+    src = csv_of([flow_line(t / 7, dst_ip=t % 13) for t in range(20_000)])
+    tracemalloc.start()
+    try:
+        cols = read_flow_csv(src, fields=fields)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    named = ["ts_start", "dst_ip", "proto", "syn"]
+    assert [name for name, col in zip(FLOW_COLUMNS, cols) if col is not None] == named
+    kept = sum(col.nbytes for col in cols if col is not None)
+    assert kept == 20_000 * (8 + 8 + 1 + 8)
+    assert held - kept < 50_000  # all 12 fields would hold 1.78 MB
+    # so does each chunk, read at once or line by line, until the chunks are joined
+    for lines in ([VALID] * 3, [VALID, "1,2\n", " " + VALID]):
+        chunk, _bad = ingest._read_chunk(lines, 2, fields)
+        assert [name for name, col in zip(FLOW_COLUMNS, chunk) if col is not None] == named
+
+
+@pytest.mark.parametrize("fields", [("ts_start", "port"), "syn"])
+def test_read_flow_csv_rejects_unknown_fields(fields):
+    with pytest.raises(ValueError, match="not flow fields"):
+        read_flow_csv(csv_of([flow_line(0.0)]), fields=fields)
 
 
 @pytest.mark.parametrize("metric", list(MetricKind))
