@@ -23,8 +23,8 @@ from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, roc, scorer
 from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError, _check_theta
 from .fisher import estimate_info_max, estimate_info_sum
-from .hashrank import sample_coefficients
-from .ingest import METRIC_FIELDS, read_flow_csv, split_windows
+from .hashrank import check_sketch, sample_coefficients
+from .ingest import read_flow_csv, split_windows, window_fields
 from .model import DetectionMethod, MetricKind, WindowConfig, check_int
 from .ranktest import alarm_order
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
@@ -106,8 +106,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
             metric=_METRICS[args.metric],
             budget=args.budget,
         )
-        # the per-key scorer `roc` sweeps; `alarm_order` thresholds it
-        coeffs = sample_coefficients(args.seed, args.rows, args.buckets)
+        # the per-key scorer `roc` sweeps; `alarm_order` thresholds it. Every
+        # method checks the sketch options, but only HashRank draws hashes
+        check_sketch(args.seed, args.rows, args.buckets)
+        hashes = method is DetectionMethod.HASHRANK
+        coeffs = sample_coefficients(args.seed, args.rows, args.buckets) if hashes else None
         score = scorer(method, cfg, coeffs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -117,8 +120,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         batches = [batch]
     else:
         policy = "raise" if args.errors == "abort" else "skip"
-        _proto, key, value, _distinct = METRIC_FIELDS[cfg.metric]
-        fields = ("ts_start", "proto", key, value)  # all that split_windows reads
+        fields = window_fields(cfg.metric)
         columns = read_flow_csv(args.input, errors=policy, skipped=skipped, fields=fields)
         batches = split_windows(columns, cfg)
     rows = []

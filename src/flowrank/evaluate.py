@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +48,11 @@ def score_comprehensive(batch: WindowBatch) -> Scores:
 
 
 def scorer(
-    method: DetectionMethod, cfg: WindowConfig, coeffs: HashCoefficients
+    method: DetectionMethod, cfg: WindowConfig, coeffs: Optional[HashCoefficients]
 ) -> Callable[[WindowBatch], Scores]:
     """The per-key scorer of `method`: TopRank filters with `cfg`, its
-    candidate budget included, HashRank sketches with `coeffs`,
-    Comprehensive tests every key."""
+    candidate budget included, HashRank sketches with `coeffs` (which
+    only it reads), Comprehensive tests every key."""
     if method is DetectionMethod.TOPRANK:
         return partial(toprank.score_window, cfg=cfg)
     if method is DetectionMethod.HASHRANK:

@@ -111,10 +111,16 @@ def hash_buckets(coeffs: HashCoefficients, keys: np.ndarray) -> np.ndarray:
     return (acc % np.uint64(coeffs.k_buckets)).astype(np.intp)
 
 
-def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> HashCoefficients:
-    """Draw L independent coefficient rows, uniform over [0, p-1]^4."""
+def check_sketch(seed: int, l_rows: int, k_buckets: int) -> None:
+    """Reject the arguments `sample_coefficients` would reject, drawing nothing."""
     check_int("l_rows", l_rows, 1)
     check_int("seed", seed, 0)
+    check_int("k_buckets", k_buckets, 2, MERSENNE_PRIME)
+
+
+def sample_coefficients(seed: int, l_rows: int, k_buckets: int) -> HashCoefficients:
+    """Draw L independent coefficient rows, uniform over [0, p-1]^4."""
+    check_sketch(seed, l_rows, k_buckets)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, MERSENNE_PRIME, size=(l_rows, 4), dtype=np.int64)
     return HashCoefficients(draws, k_buckets)

@@ -10,20 +10,19 @@ seconds, proto one of TCP/UDP/OTHER, counters below 2^32. Records need
 not be time-sorted within a window. Each record is attributed wholly to
 the bin containing its start time, which `split_windows` alone decides.
 
-`read_flow_csv` reads the file in chunks of lines into columns. One byte
-screen per chunk picks the lines that hold only the characters a record
-can hold (ASCII digits, `.,eE+-` and the letters of the protocol names)
-and exactly 11 commas. One `np.loadtxt` call converts them, and they
-count as canonical if that call neither fails nor warns of a deprecated
-integer parse, and returns one row per line; if not, the screened lines
-in canonical form (ASCII digits, unsigned integers) are converted
-instead. Either way the converted rows are checked against `_RULES`, the
-record rules in the order a line is checked. Every other nonblank line,
-and every row a rule rejects, is split by Python `float()` and `int()`
-and checked against the same rules: it is either accepted with the same
-values or reported with the `ParseError` that names its line and the
-first rule it breaks. The chunk reader returns these errors with the
-chunk's records; `read_flow_csv` alone raises the first or counts them.
+`read_flow_csv` reads the file in chunks of lines into columns, by two
+routes. One byte screen per chunk picks the lines that hold only the
+characters a record can hold (ASCII digits, `.,eE+-` and the letters of
+the protocol names) and exactly 11 commas, and one `np.loadtxt` call
+converts them. Every other nonblank line, and every row that breaks one
+of `_RULES` (the record rules, in the order a line is checked), is split
+by Python `float()` and `int()` and checked against the same rules: it is
+either accepted with the same values or reported with the `ParseError`
+that names its line and the first rule it breaks. If the `np.loadtxt`
+call fails, warns of a deprecated integer parse, or returns other than
+one row per line, every nonblank line of the chunk is split so. The
+chunk reader returns these errors with the chunk's records;
+`read_flow_csv` alone raises the first or counts them.
 Every field is read and checked, but only the fields the caller names are
 copied out of a chunk and kept.
 A file is decoded as UTF-8 with each undecodable byte kept as a lone
@@ -33,7 +32,6 @@ surrogate, so a line holding one fails on its own.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from collections import Counter
 from functools import partial
@@ -85,10 +83,10 @@ U16_MAX = 0xFFFF
 # floats as float() does and integers as int() does (signs, leading zeros
 # and up to 19 digits); what it cannot read exactly (an int64 overflow,
 # "5.0" or "1e5" as an integer, an empty field) raises ValueError, which
-# sends the screened lines through `_CANONICAL`. While NumPy (from 1.23)
+# sends every nonblank line of the chunk through `_split`. While NumPy (from 1.23)
 # only deprecated reading "5.0" as an integer, it warned and read 5; that
-# DeprecationWarning is raised as an error, so such lines go through
-# `_CANONICAL` on every NumPy version.
+# DeprecationWarning is raised as an error, so such a chunk is split line
+# by line on every NumPy version.
 #
 # A chunk is screened at once: its lines are joined by DEL, which no record
 # holds (a line holding one has it replaced first), the text is encoded as
@@ -98,17 +96,6 @@ _FIELD_BYTES = b"0123456789.eE+-TCPUDOHR"
 _SEP = "\x7f"
 _FIELD_COMMAS = len(FLOW_COLUMNS) - 1
 _CLEAN = ("," * _FIELD_COMMAS + "\n" + _SEP).encode()  # what is left of a line that passes
-
-# The fallback screen. Canonical lines are those np.loadtxt reads exactly
-# as float()/int() do: ASCII digits only (no signs, spaces or underscores
-# on integers), and at most 10 integer digits, so int64 holds every value
-# the range rules see.
-_FLOAT = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]{1,3})?"
-_UINT = r"[0-9]{1,10}"
-_CANONICAL = re.compile(
-    ",".join([_FLOAT] * 2 + [_UINT] * 4 + ["(?:TCP|UDP|OTHER)"] + [_UINT] * 5) + "\n?"
-)
-
 
 class ParseError(ValueError):
     """A malformed input line, carrying its 1-based line number.
@@ -205,7 +192,7 @@ _LOADTXT_DTYPE = np.dtype(
 
 
 def _convert(lines: list[str]) -> FlowColumns:
-    """Columns of canonical lines, views of one record array but for `proto`,
+    """Columns of screened lines, views of one record array but for `proto`,
     where -1 marks an unknown name."""
     if not lines:
         return _typed([()] * len(FLOW_COLUMNS))
@@ -240,11 +227,8 @@ def _screened(lines: list[str]) -> np.ndarray:
 
 
 def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
-    """The indices of the lines `np.loadtxt` read, and their columns.
-
-    That is the lines that pass the byte screen, or if `np.loadtxt`
-    rejects them, those of them in canonical form.
-    """
+    """The indices of the lines `np.loadtxt` read, and their columns: the
+    lines that pass the byte screen, or none if `np.loadtxt` rejects them."""
     at = _screened(lines)
     screened = lines if at.size == len(lines) else list(map(lines.__getitem__, at.tolist()))
     try:
@@ -256,8 +240,7 @@ def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     else:
         if cols.ts_start.size == at.size:
             return at, cols
-    at = at[[_CANONICAL.fullmatch(lines[i]) is not None for i in at.tolist()]]
-    return at, _convert([lines[i] for i in at.tolist()])
+    return at[:0], _convert([])
 
 
 def _split(line: str, line_no: int) -> Union[list, ParseError]:
@@ -379,6 +362,12 @@ METRIC_FIELDS = {
 }
 
 
+def window_fields(metric: MetricKind) -> tuple[str, ...]:
+    """The fields `split_windows` reads for `metric`: `ts_start`, `proto`,
+    and the metric's key and value fields."""
+    return ("ts_start", "proto", *METRIC_FIELDS[metric][1:3])
+
+
 def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBatch]:
     """Partition flow records into observation windows and bin each one.
 
@@ -389,8 +378,12 @@ def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBat
     the window's span [lo, lo + window_seconds) counts in the nearest
     edge bin. Every window holding a record is emitted, in index order,
     a trailing partial one with its empty bins at zero. Of `columns` it
-    reads `ts_start`, `proto`, and the metric's key and value fields.
+    reads `window_fields(cfg.metric)`; one of them that is None is a
+    ValueError.
     """
+    for name in window_fields(cfg.metric):
+        if getattr(columns, name) is None:
+            raise ValueError(f"split_windows reads {name}, which the columns lack")
     ts = columns.ts_start
     if not ts.size:
         return

@@ -146,8 +146,15 @@ class WindowBatch:
         """The window of `bins` bins whose cell (key, bin) sums the values given to it.
 
         `keys`, `bins0` (0-based, below `bins`) and `values` (in [0, 2^32)) are
-        aligned int64 arrays in any order; keys with no positive value are omitted.
+        aligned int64 arrays in any order, else a ValueError; keys with no positive
+        value are omitted.
         """
+        if not keys.shape == bins0.shape == values.shape == (keys.size,):
+            raise ValueError("keys, bins0 and values must be aligned 1-D arrays")
+        if keys.size and not (0 <= bins0.min() and bins0.max() < bins):
+            raise ValueError(f"bins0 must lie in 0..{bins - 1}")
+        if keys.size and not (0 <= values.min() and values.max() <= U32_MAX):
+            raise ValueError("values must lie in [0, 2^32)")
         positive = values > 0
         keys, row = np.unique(keys[positive], return_inverse=True)
         counts = np.zeros((keys.size, bins), dtype=np.int64)

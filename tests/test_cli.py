@@ -498,6 +498,21 @@ def test_detect_commutes_with_order_preserving_key_relabelling(two_window_csv, t
     assert detect(relabelled) == ([head, *mapped], err)
 
 
+@pytest.mark.parametrize("method", ["toprank", "full"])
+def test_detect_draws_no_hashes_for_a_method_that_does_not_hash(method, flow_csv, tmp_path, capsys):
+    # the sketch options are checked, but a sketch no array could hold is never drawn
+    out = tmp_path / "out.csv"
+    assert main(["detect", "--method", method, "--rows", "0", "--input", str(flow_csv),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "flowrank: error: l_rows must be at least 1\n"
+    outputs = []
+    for rows in ("8", str(10**20)):
+        assert main(["detect", "--method", method, "--rows", rows, "--input", str(flow_csv),
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_text().splitlines())
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["detect", "--window", "1"], "bins_per_window must be at least 2"),
     (["detect", "--top", "0", "--budget", "0"], "top_m must be at least 1"),

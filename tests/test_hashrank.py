@@ -11,6 +11,7 @@ from flowrank.hashrank import (
     HashCoefficients,
     SketchTable,
     build_sketch,
+    check_sketch,
     hash_buckets,
     invert,
     sample_coefficients,
@@ -150,11 +151,15 @@ def test_sample_coefficients_single_row():
     "seed, l_rows, k_buckets, message",
     [(0, 0, 17, "l_rows must be at least 1"), (-1, 8, 17, "seed must be at least 0"),
      (0, 8, 1, "k_buckets must be at least 2"), (0, 2.5, 17, "l_rows must be an integer"),
-     (0, 8, 17.5, "k_buckets must be an integer"), (1.0, 8, 17, "seed must be an integer")],
+     (0, 8, 17.5, "k_buckets must be an integer"), (1.0, 8, 17, "seed must be an integer"),
+     (0, 8, MERSENNE_PRIME + 1, f"k_buckets must be at most {MERSENNE_PRIME}"),
+     (-1, 0, 1, "l_rows must be at least 1"), (-1, 8, 1, "seed must be at least 0")],
 )
 def test_sample_coefficients_rejects_bad_arguments(seed, l_rows, k_buckets, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sample_coefficients(seed, l_rows, k_buckets)
+    # check_sketch rejects the same arguments, in the same order, without a draw
+    for check in (check_sketch, sample_coefficients):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(seed, l_rows, k_buckets)
 
 
 # --- build_sketch --------------------------------------------------------

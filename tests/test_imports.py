@@ -84,10 +84,19 @@ def test_command_does_not_import_scipy(argv, tiny_flow_csv, tmp_path):
     assert result["scipy"] == []
 
 
-@pytest.mark.parametrize("argv", [["--version"], None], ids=["version", "import"])
-def test_launch_does_not_load_numpy_random(argv, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    None,
+    ["detect", "--method", "toprank"],
+    ["detect", "--method", "full"],
+], ids=["version", "import", "detect-toprank", "detect-full"])
+def test_launch_does_not_load_numpy_random(argv, tiny_flow_csv, tmp_path):
     # numpy.random adds about 6 MB to a launch's peak RSS and time to its setup;
-    # `import flowrank.cli` and `--version` draw no numbers, so they must not load it
+    # `import flowrank.cli`, `--version` and the detectors that hash no key draw
+    # no numbers, so they must not load it
+    if argv and argv[0] == "detect":
+        argv = [*argv, "--input", str(tiny_flow_csv), "--window", "20",
+                "--output", str(tmp_path / "out.csv")]
     code = CHILD if argv else CHILD.replace("code = main(sys.argv[1:])", "code = 0")
     result = run_fresh(code, argv or [], tmp_path)
     assert result["code"] == 0

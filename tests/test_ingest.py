@@ -22,6 +22,7 @@ from flowrank.ingest import (
     iter_flow_csv,
     read_flow_csv,
     split_windows,
+    window_fields,
 )
 from flowrank.model import MetricKind, Protocol, WindowConfig
 
@@ -230,6 +231,17 @@ def test_split_windows_empty_stream():
     assert list(split_windows(from_records([]), cfg3())) == []
 
 
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_split_windows_rejects_columns_without_a_field_it_reads(metric):
+    src = [FLOW_HEADER + "\n", flow_line(0.0) + "\n"]
+    fields = window_fields(metric)
+    assert list(split_windows(read_flow_csv(src, fields=fields), cfg3(metric)))
+    for name in fields:
+        cols = read_flow_csv(src, fields=[f for f in fields if f != name])
+        with pytest.raises(ValueError, match=f"reads {name},"):
+            list(split_windows(cols, cfg3(metric)))
+
+
 @pytest.mark.parametrize("delta,bins,stamps,match", [
     (1e-300, 60, [0.0, 1.7e9], "too small"),  # ts / delta overflows
     (1e-300, 60, [-1.7e9, 0.0], "too small"),
@@ -328,6 +340,8 @@ def assert_same_columns(got, want):
 @example([VALID.rstrip(), VALID, VALID.rstrip()])
 @example([VALID.replace(",0\n", "\n"), VALID.replace("\n", ",0\n")])  # 10 and 12 commas
 @example([VALID, VALID.replace(",TCP,3,", ",TCP,99999999999999999999,")])  # an int64 overflow
+@example([VALID, VALID.replace(",TCP,3,1,", ",TCP,3,,")])  # an empty field
+@example([VALID, VALID.replace(",TCP,3,", ",TCP,5.0,")])  # a "5.0" counter
 def test_read_flow_csv_matches_per_line_reference(lines):
     records, errors = [], []
     for line_no, line in enumerate(lines, start=2):
@@ -358,17 +372,20 @@ def test_plain_corpus_skips_the_per_line_screen():
     lines = [flow_line(t / 7 - 30, dst_ip=t % 13, proto=("TCP", "UDP", "OTHER")[t % 3])
              for t in range(300)]
     lines[50] = FLAGS.rstrip()  # read, then rejected by the flag check
-    refuse = Mock(side_effect=AssertionError("per-line screen called"))
-    with patch.object(ingest, "CHUNK_LINES", 64), \
-            patch.object(ingest, "_CANONICAL", Mock(fullmatch=refuse)):
+    convert, split = Mock(wraps=ingest._convert), Mock(wraps=ingest._split)
+    with patch.object(ingest, "CHUNK_LINES", 64), patch.object(ingest, "_convert", convert), \
+            patch.object(ingest, "_split", split):
         skipped = Counter()
         got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
     assert skipped == {"flags": 1}
+    # np.loadtxt reads every line; only the row the flag check rejects is split
+    assert [len(c.args[0]) for c in convert.call_args_list] == [64] * 4 + [44]
+    assert [c.args for c in split.call_args_list] == [(FLAGS, 52)]
     del lines[50]
     assert_same_columns(got, from_records(parse_record(line) for line in lines))
 
 
-def test_malformed_lines_skip_the_canonical_screen():
+def test_malformed_lines_alone_are_split():
     # each defect of the flow-scan benchmark corpus, two of them on either
     # side of the first chunk boundary
     lines = [flow_line(t / 7 - 30, dst_ip=t % 13, proto=("TCP", "UDP", "OTHER")[t % 3])
@@ -382,10 +399,9 @@ def test_malformed_lines_skip_the_canonical_screen():
     assert all(defects[i] != lines[i] for i in defects)
     for i, line in defects.items():
         lines[i] = line
-    convert = Mock(wraps=ingest._convert)
-    refuse = Mock(side_effect=AssertionError("canonical screen called"))
+    convert, split = Mock(wraps=ingest._convert), Mock(wraps=ingest._split)
     with patch.object(ingest, "_convert", convert), patch.object(ingest, "CHUNK_LINES", 4096), \
-            patch.object(ingest, "_CANONICAL", Mock(fullmatch=refuse)):
+            patch.object(ingest, "_split", split):
         skipped = Counter()
         got = read_flow_csv(csv_of(lines), errors="skip", skipped=skipped)
     assert skipped == {"field count": 1, "number": 1, "protocol": 1, "flags": 1}
@@ -393,8 +409,36 @@ def test_malformed_lines_skip_the_canonical_screen():
     assert convert.call_count == 2
     assert sum((c.args[0] for c in convert.call_args_list), []) == [
         line + "\n" for i, line in enumerate(lines) if i not in (40, 4095, 4096)]
+    # and the defects alone are split
+    assert [c.args for c in split.call_args_list] == [
+        (lines[i] + "\n", i + 2) for i in sorted(defects)]
     good = [line for i, line in enumerate(lines) if i not in defects]
     assert_same_columns(got, from_records(parse_record(line) for line in good))
+
+
+@pytest.mark.parametrize("field", ["", "5.0", "99999999999999999999"],
+                         ids=["empty", "fractional", "overflow"])
+def test_line_that_loadtxt_rejects_splits_its_chunk_alone(field):
+    lines = [flow_line(t / 3, dst_ip=t % 5, proto=("TCP", "UDP", "OTHER")[t % 3]) + "\n"
+             for t in range(12)]
+    lines[5] = record_line(packets=field) + "\n"  # passes the byte screen
+    lines[6] = "\n"
+    lines[7] = FLAGS
+    split = Mock(wraps=ingest._split)
+    with patch.object(ingest, "CHUNK_LINES", 4), patch.object(ingest, "_split", split):
+        skipped = Counter()
+        got = read_flow_csv([FLOW_HEADER + "\n"] + lines, errors="skip", skipped=skipped)
+    # the chunk of lines 6-9 is split whole but for its blank line, the others not at all
+    assert [c.args for c in split.call_args_list] == [(lines[i], i + 2) for i in (4, 5, 7)]
+    records, reasons = [], Counter()
+    for line_no, line in enumerate(lines, start=2):
+        if line.strip():
+            try:
+                records.append(parse_record(line, line_no))
+            except RecordError as exc:
+                reasons[exc.reason] += 1
+    assert skipped == reasons and sum(reasons.values()) == 2
+    assert_same_columns(got, from_records(records))
 
 
 def test_abort_reads_no_chunk_past_the_first_bad_line():
@@ -421,12 +465,11 @@ def test_abort_reads_no_chunk_past_the_first_bad_line():
     "0.5,0.6,1,2,3,4,TCP,3,1,1,1,0\x7f\n",  # the screen's own line separator
 ])
 def test_chunk_screen_sends_other_characters_line_by_line(odd):
-    convert = Mock(wraps=ingest._convert)
-    canonical = Mock(wraps=ingest._CANONICAL)
-    with patch.object(ingest, "_convert", convert), patch.object(ingest, "_CANONICAL", canonical):
+    convert, split = Mock(wraps=ingest._convert), Mock(wraps=ingest._split)
+    with patch.object(ingest, "_convert", convert), patch.object(ingest, "_split", split):
         read_flow_csv([FLOW_HEADER + "\n", VALID, odd, VALID], errors="skip")
     assert [c.args[0] for c in convert.call_args_list] == [[VALID, VALID]]
-    canonical.fullmatch.assert_not_called()
+    assert [c.args for c in split.call_args_list] == [(odd, 3)]
 
 
 def loadtxt_that_truncates(real=np.loadtxt):
@@ -690,12 +733,6 @@ def test_counters_beyond_32_bits_rejected_under_both_policies(field):
 # --- only the named fields are kept ------------------------------------------
 
 
-def metric_fields(metric):
-    """The fields `detect` keeps for a metric: all that split_windows reads."""
-    _proto, key, value, _distinct = ingest.METRIC_FIELDS[metric]
-    return ("ts_start", "proto", key, value)
-
-
 def assert_same_read(lines, fields):
     """A read that keeps `fields` keeps exactly them, as the all-fields read has
     them, and skips and aborts on the same lines with the same errors."""
@@ -737,7 +774,7 @@ UNKEPT_DEFECTS = [
 @pytest.mark.parametrize("metric", list(MetricKind))
 def test_kept_fields_match_the_all_fields_read(metric):
     # the file's only defects sit in fields the metric does not keep
-    fields = metric_fields(metric)
+    fields = window_fields(metric)
     defects = [line for touched, line in UNKEPT_DEFECTS if not touched & set(fields)]
     assert len(defects) >= 4
     lines = [flow_line(t / 3, dst_ip=t % 5, src_ip=t % 7, dst_port=t % 4,
@@ -761,7 +798,7 @@ def test_any_kept_fields_match_the_all_fields_read(lines, fields):
 
 
 def test_syn_read_keeps_only_the_four_metric_arrays():
-    fields = metric_fields(MetricKind.SYN_FLOOD)
+    fields = window_fields(MetricKind.SYN_FLOOD)
     src = csv_of([flow_line(t / 7, dst_ip=t % 13) for t in range(20_000)])
     tracemalloc.start()
     try:

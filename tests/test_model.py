@@ -193,6 +193,25 @@ def test_window_batch_checks_keys_and_shape():
     assert (empty.num_keys, empty.bins) == (0, 4)
 
 
+def test_from_cells_checks_its_cells():
+    keys, bins0, values = (np.array(a, dtype=np.int64) for a in ([1, 2], [4, 0], [3, 2**32 - 1]))
+    batch = WindowBatch.from_cells(0, 0.0, keys, bins0, values, 5)
+    assert batch.counts.tolist() == [[0, 0, 0, 0, 3], [2**32 - 1, 0, 0, 0, 0]]
+    for cells, message in (
+        ((keys, bins0[:1], values), "aligned"),
+        ((keys[:, None], bins0[:, None], values[:, None]), "aligned"),
+        # bin 5 of key 1 is not bin 0 of key 2
+        ((keys, bins0 + 1, values), r"bins0 must lie in 0\.\.4"),
+        ((keys, bins0 - 1, values), r"bins0 must lie in 0\.\.4"),
+        ((keys, bins0, values + 1), r"values must lie in \[0, 2\^32\)"),
+        ((keys, bins0, values - 4), r"values must lie in \[0, 2\^32\)"),  # not dropped
+    ):
+        with pytest.raises(ValueError, match=message):
+            WindowBatch.from_cells(0, 0.0, *cells, 5)
+    empty = np.zeros(0, dtype=np.int64)
+    assert WindowBatch.from_cells(0, 0.0, empty, empty, empty, 5).num_keys == 0
+
+
 def _small_batch():
     return WindowBatch(0, 0.0, [1, 2], [[1, 2], [3, 4]])
 
