@@ -7,8 +7,10 @@ writes machine-readable CSV plus a JSON manifest capturing the full
 parameter set, so re-running a manifest reproduces the output byte for
 byte. Exit codes: 0 success, 1 usage error, 2 data error. Only `detect`
 reads an input file, so a value that `simulate`, `roc` or `fisher`
-rejects is always a bad option value (exit 1); an output that cannot be
-written is a data error (exit 2) under every command.
+rejects, or an array they cannot allocate, is always a bad option value
+(exit 1). `detect` reports such an array as a bad option value while it
+checks its options, and as a data error (exit 2) once it reads input.
+An output that cannot be written is a data error under every command.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         hashes = method is DetectionMethod.HASHRANK
         coeffs = sample_coefficients(args.seed, args.rows, args.buckets) if hashes else None
         score = scorer(method, cfg, coeffs)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise UsageError(str(exc)) from None
     skipped: Counter = Counter()
     if args.format == "dense":
@@ -295,14 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # `detect` alone reads input; any other value error is a bad option value
-    usage = (UsageError,) if args.command == "detect" else (UsageError, ValueError, ResolutionError)
+    # `detect` alone reads input; any other value error, or an array too
+    # large to allocate, is a bad option value
+    usage = (UsageError,) if args.command == "detect" else (
+        UsageError, ValueError, ResolutionError, MemoryError)
     try:
         return args.func(args)
     except usage as exc:
         print(f"flowrank: error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"flowrank: data error: {exc}", file=sys.stderr)
         return 2
 

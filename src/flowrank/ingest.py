@@ -19,9 +19,9 @@ of `_RULES` (the record rules, in the order a line is checked), is split
 by Python `float()` and `int()` and checked against the same rules: it is
 either accepted with the same values or reported with the `ParseError`
 that names its line and the first rule it breaks. If the `np.loadtxt`
-call fails, warns of a deprecated integer parse, or returns other than
-one row per line, every nonblank line of the chunk is split so. The
-chunk reader returns these errors with the chunk's records;
+call fails or warns of a deprecated integer parse, every nonblank line
+of the chunk is split so. The chunk reader returns these errors with
+the chunk's records;
 `read_flow_csv` alone raises the first or counts them.
 Every field is read and checked, but only the fields the caller names are
 copied out of a chunk and kept.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from functools import partial
 from itertools import islice
 from typing import IO, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -101,21 +100,13 @@ class ParseError(ValueError):
     """A malformed input line, carrying its 1-based line number.
 
     `reason` names the broken rule: "header", "field count", "number",
-    "timestamp", "protocol", "range" or "flags". The message may be given
-    as a function of no arguments, which the first `str()` calls.
+    "timestamp", "protocol", "range" or "flags".
     """
 
-    def __init__(self, line_no: int, message: Union[str, Callable[[], str]], reason: str):
-        super().__init__(line_no, message, reason)
+    def __init__(self, line_no: int, message: str, reason: str):
+        super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.reason = reason
-
-    def __str__(self) -> str:
-        line_no, message, reason = self.args
-        if callable(message):
-            message = message()
-            self.args = (line_no, message, reason)
-        return f"line {line_no}: {message}"
 
 
 class _Rule(NamedTuple):
@@ -154,11 +145,6 @@ _RULES = (
     _Rule("flags", lambda c: (c.proto != _TCP) & (c.syn + c.synack + c.fin + c.rst != 0),
           "flag counters must be zero for non-TCP records"),
 )
-
-
-def _rule_message(template: str, row: list) -> str:
-    """A rule's message for a split row, formatted by field name and `flags`."""
-    return template.format(**dict(zip(FLOW_COLUMNS, row)), flags=sum(row[8:]))
 
 
 def _reasons(cols: FlowColumns) -> np.ndarray:
@@ -228,19 +214,16 @@ def _screened(lines: list[str]) -> np.ndarray:
 
 def _screen(lines: list[str]) -> tuple[np.ndarray, FlowColumns]:
     """The indices of the lines `np.loadtxt` read, and their columns: the
-    lines that pass the byte screen, or none if `np.loadtxt` rejects them."""
+    lines that pass the byte screen, each one nonblank line, or none if
+    `np.loadtxt` rejects them."""
     at = _screened(lines)
     screened = lines if at.size == len(lines) else list(map(lines.__getitem__, at.tolist()))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            cols = _convert(screened)
+            return at, _convert(screened)
     except (ValueError, DeprecationWarning):
-        pass
-    else:
-        if cols.ts_start.size == at.size:
-            return at, cols
-    return at[:0], _convert([])
+        return at[:0], _convert([])
 
 
 def _split(line: str, line_no: int) -> Union[list, ParseError]:
@@ -283,8 +266,8 @@ def _read_chunk(
     table[:, _PROTO] = [_PROTOCOL_CODES.get(text, -1) for text in table[:, _PROTO]]
     codes = _reasons(FlowColumns(*table.T))
     for k in np.flatnonzero(codes).tolist():
-        rule = _RULES[codes[k] - 1]
-        message = partial(_rule_message, rule.message, values[k])  # formatted only if read
+        rule, row = _RULES[codes[k] - 1], values[k]
+        message = rule.message.format(**dict(zip(FLOW_COLUMNS, row)), flags=sum(row[8:]))
         bad.append(ParseError(first_line_no + value_at[k], message, rule.reason))
     bad.sort(key=lambda exc: exc.line_no)
     keep = codes == 0

@@ -2,7 +2,8 @@
 
 Everything here is written as directly as possible from the defining
 formulas (explicit double loops or all-pairs comparisons, plain floats)
-and shares no code with the package implementation.
+and shares no code with the package implementation but its types,
+`ranktest.pvalue` and the draw of hash coefficients.
 """
 
 import dataclasses
@@ -11,8 +12,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from flowrank.hashrank import sample_coefficients
 from flowrank.ingest import FlowColumns
 from flowrank.model import Protocol
+from flowrank.ranktest import pvalue
 
 
 def brute_statistic(x, observed):
@@ -363,6 +366,97 @@ def bin_records(records, metric, delta, bins, window_index, origin):
         if any(values):
             out[key] = values
     return out
+
+
+def _tested(x, observed):
+    """(p-value, statistic, change bin) of one series by `brute_statistic`."""
+    out = brute_statistic(x, observed)
+    return pvalue(out["w"]), out["w"], out["change_bin"]
+
+
+def _own(outcome):
+    """The scores of a key tested on its own series: it alarms on the p-value it reports."""
+    return (outcome[0], *outcome)
+
+
+def _top_scores(keys, series, params):
+    """{key: (p_alarm, p_report, statistic, change bin)} of TopRank's candidates."""
+    tables = top_tables(keys, np.array(series), params["top"])
+    if params["budget"] is None:
+        cand = top_candidates(tables, params["keep"])
+    else:
+        cand = top_candidates_budget(tables, params["budget"])
+    x, observed = top_censor(tables, cand)
+    return {key: _own(_tested(x[c].tolist(), observed[c].tolist())) for c, key in enumerate(cand)}
+
+
+def _hash_scores(keys, series, params):
+    """{key: (p_alarm, p_report, statistic, change bin)} of every key by its sketch cells.
+
+    A key alarms on the largest p-value of its cells and reports its cell
+    with the smallest one, the earliest row among equal ones.
+    """
+    coeffs = sample_coefficients(params["seed"], params["rows"], params["buckets"])
+    k, bins = params["buckets"], len(series[0])
+    cell_of = {key: [hash_eval(a_row, k, key) - 1 for a_row in coeffs.a] for key in keys}
+    sums = [[[0] * bins for _ in range(k)] for _ in coeffs.a]
+    for key, counts in zip(keys, series):
+        for row, bucket in enumerate(cell_of[key]):
+            sums[row][bucket] = [a + b for a, b in zip(sums[row][bucket], counts)]
+    tests = [[_tested(cell, [True] * bins) for cell in row] for row in sums]
+    scores = {}
+    for key in keys:
+        outcomes = [tests[row][bucket] for row, bucket in enumerate(cell_of[key])]
+        best = min(range(len(outcomes)), key=lambda row: outcomes[row][0])
+        scores[key] = (max(o[0] for o in outcomes), *outcomes[best])
+    return scores
+
+
+def _full_scores(keys, series, params):
+    """{key: (p_alarm, p_report, statistic, change bin)} of every key's own series."""
+    return {key: _own(_tested(counts, [True] * len(counts))) for key, counts in zip(keys, series)}
+
+
+_SCORES = {"toprank": _top_scores, "hashrank": _hash_scores, "full": _full_scores}
+
+
+def detect_rows(text, params):
+    """The alarm rows `flowrank detect --errors skip` writes for the flow CSV `text`.
+
+    `params` holds the option values by name: metric, method, delta,
+    window, top, keep, budget (None to select by --keep), alpha, and the
+    sketch's rows, buckets and seed. `text` starts with its header; each
+    later line is parsed on its own by `parse_record`, and a blank or bad
+    one is dropped. Windows come from `split_records` and `bin_records`,
+    TopRank's series from the tuple tables, HashRank's cells from
+    `hash_eval` under the coefficients `sample_coefficients` draws. Each
+    series is tested by `brute_statistic` with a p-value from
+    `ranktest.pvalue`, and each window's alarms come in `alarm_order`,
+    formatted as `detect` does.
+    """
+    records = []
+    for line_no, line in enumerate(text.split("\n")[1:], start=2):
+        if line.strip():
+            try:
+                records.append(parse_record(line, line_no))
+            except RecordError:
+                pass
+    if not records:
+        return []
+    delta, bins = params["delta"], params["window"]
+    origin, groups = split_records(records, delta, bins)
+    rows = []
+    for window in sorted(groups):
+        binned = bin_records(groups[window], params["metric"], delta, bins, window, origin)
+        if not binned:
+            continue
+        scores = _SCORES[params["method"]](list(binned), list(binned.values()), params)
+        keys = list(scores)
+        p_alarm, p_report, stat, change_bin = zip(*scores.values())
+        for i in alarm_order(keys, p_alarm, p_report, params["alpha"]):
+            rows.append(f"{window},{keys[i]},{params['method']},"
+                        f"{p_report[i]:.6g},{stat[i]:.6g},{change_bin[i]}")
+    return rows
 
 
 def generate(cfg):

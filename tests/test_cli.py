@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import detect_rows
 from oracles import generate as oracle_generate
 
 import flowrank
@@ -307,6 +308,35 @@ def test_value_fault_without_input_is_a_usage_error(tmp_path, capsys, command):
         assert code == 1, err
         assert len(err.splitlines()) == 1 and err.startswith("flowrank: error: "), err
         assert list(out.parent.iterdir()) == []
+
+
+def refuse_allocation(*args, **kwargs):
+    # what numpy raises for an array it cannot allocate; no test allocates one for real,
+    # because an overcommitting kernel may grant it and then fill it
+    raise MemoryError("Unable to allocate 89.4 GiB for an array with shape (3000000000, 4)")
+
+
+@pytest.mark.parametrize("argv, where, code", [
+    (["detect", "--method", "hashrank", "--rows", "3000000000"], "sample_coefficients", 1),
+    (["roc", "--rows", "3000000000", "--runs", "1", "--dim", "20", "--target-rank", "2"],
+     "sample_coefficients", 1),
+    (["simulate", "--dim", "4000000000", "--target-rank", "2"], "generate", 1),
+    (["fisher", "--mc", "1000000000000", "--dims", "4"], "estimate_info_max", 1),
+    (["detect", "--window", "4"], "split_windows", 2),
+], ids=["detect-options", "roc", "simulate", "fisher", "detect-input"])
+def test_refused_allocation_is_one_error_line(argv, where, code, flow_csv, tmp_path, capsys,
+                                              monkeypatch):
+    # a usage error while the options are checked, a data error once detect reads input
+    module = evaluate if argv[0] == "roc" else cli
+    monkeypatch.setattr(module, where, refuse_allocation)
+    io_args = ["--input", str(flow_csv)] if argv[0] == "detect" else []
+    out = tmp_path / "out" / "out.csv"
+    out.parent.mkdir()
+    assert main([*argv, *io_args, "--output", str(out)]) == code
+    kind = "error" if code == 1 else "data error"
+    assert capsys.readouterr().err == (
+        f"flowrank: {kind}: Unable to allocate 89.4 GiB for an array with shape (3000000000, 4)\n")
+    assert list(out.parent.iterdir()) == []
 
 
 # every numeric option of each command, and the values drawn for it
@@ -759,6 +789,90 @@ def test_detect_writes_the_pinned_alarms(two_window_csv, tmp_path):
         assert main([*argv, *mode, "--output", str(out)]) == 0
         written.append(out.read_text())
     assert "".join(written) == DETECT_PINNED
+
+
+# lines `detect --errors skip` drops: blank, and one of each record-rule defect
+DROPPED_LINES = (
+    "", "  ", "5.0,5.1,51,101,1234,80,TCP,4,1,0,1", "6.0,6.1,51,101,1234,80,TCP,4x,1,0,1,0",
+    "7.0,7.1,51,101,1234,80,ICMP,4,1,0,1,0", "8.0,8.1,51,101,1234,80,TCP,1,1,0,1,0",
+    "nan,9.1,51,101,1234,80,TCP,4,1,0,1,0", "9.0,9.1,51,101,1234,70000,TCP,4,1,0,1,0",
+)
+
+
+@st.composite
+def detect_cases(draw):
+    """A flow CSV of at most 3 windows and 40 keys, and `detect` option values by name."""
+    bins, delta = draw(st.integers(2, 8)), draw(st.sampled_from([1.0, 0.5, 2.5]))
+    ticks = draw(st.integers(1, 3)) * bins * 3  # three start times per bin
+    base = draw(st.sampled_from([0.0, 1000.25, -37.5]))
+    # the records come from one seeded generator: drawing each field costs more than
+    # the detect run. Small addresses tie counts and tokens often; large ones reach
+    # the hash's high bits
+    rng = draw(st.randoms(use_true_random=True))
+    pool = rng.sample([*range(31), *rng.sample(range(31, 2**32), 40)], rng.choice([3, 12, 40]))
+    lines = []
+    for _ in range(rng.randrange(151)):
+        if rng.randrange(16) == 0:
+            lines.append(rng.choice(DROPPED_LINES))
+            continue
+        ts = base + rng.randrange(ticks) * delta / 3
+        proto = rng.choice(["TCP", "TCP", "UDP", "OTHER"])
+        flags = [rng.randrange(4), *(rng.randrange(2) for _ in range(3))]
+        if proto != "TCP":
+            flags = [0] * 4
+        lines.append(f"{ts!r},{ts + 0.25!r},{rng.choice(pool)},{rng.choice(pool)},1234,"
+                     f"{rng.choice([22, 80, 443])},{proto},{sum(flags) + rng.randrange(4)},"
+                     + ",".join(map(str, flags)))
+    top = draw(st.integers(1, 5))
+    params = {
+        "metric": draw(st.sampled_from(sorted(cli._METRICS))),
+        "method": draw(st.sampled_from(sorted(cli._METHODS))),
+        "delta": delta, "window": bins, "top": top, "keep": draw(st.integers(1, top)),
+        "budget": draw(st.none() | st.integers(1, 12)),
+        "alpha": draw(st.sampled_from([0.3, 0.9, 0.99])),
+        "rows": draw(st.integers(1, 3)), "buckets": draw(st.integers(2, 5)),
+        "seed": draw(st.integers(0, 5)),
+    }
+    return "\n".join([FLOW_HEADER, *lines]) + "\n", params
+
+
+def syn_case(syn_by_key, **options):
+    """One TCP record with the given SYN count at each (key, start time), and
+    TopRank `detect` option values."""
+    lines = [f"{t},{t + 0.25},1,{key},1234,80,TCP,{syn},{syn},0,0,0"
+             for (key, t), syn in syn_by_key.items()]
+    params = {"metric": "syn", "method": "toprank", "delta": 1.0, "window": 4, "top": 3,
+              "keep": 3, "budget": None, "alpha": 0.99, "rows": 1, "buckets": 2, "seed": 0}
+    return "\n".join([FLOW_HEADER, *lines]) + "\n", {**params, **options}
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("detect_oracle")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=detect_cases())
+# ten keys tie at the cut of the first bin's table: the smaller keys are kept
+@example(case=syn_case({(10 + k, 0.0): 1 + k % 2 for k in range(10)}))
+# a bin of two active keys has no censoring bound
+@example(case=syn_case({(1, 0.0): 5, (2, 0.0): 1, (1, 1.0): 4, (2, 1.0): 6, (1, 2.0): 1}))
+# the origin is the first start time's bin
+@example(case=syn_case({(1, 0.5): 1, (1, 1.5): 1, (1, 2.5): 9, (1, 3.5): 9}, alpha=0.3))
+def test_detect_writes_the_oracle_alarms(oracle_dir, case):
+    # the end-to-end reference: the per-line parse, per-record binning and
+    # tuple tables of tests/oracles.py, each series tested by the double loop
+    text, params = case
+    source, out = oracle_dir / "flows.csv", oracle_dir / "alarms.csv"
+    source.write_text(text, encoding="utf-8")
+    argv = ["detect", "--input", str(source), "--output", str(out), "--errors", "skip"]
+    for name, value in params.items():
+        if value is not None:
+            argv += [f"--{name}", str(value)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    want = ["window,key,method,p_value,statistic,change_bin", *detect_rows(text, params)]
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 # `roc --method all` at a tiny config; a 2 x 4 sketch makes HashRank's rates depend on
