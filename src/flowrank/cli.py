@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, roc, scorer
-from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError, _check_theta
+from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError
 from .fisher import estimate_info_max, estimate_info_sum
 from .hashrank import check_sketch, sample_coefficients
 from .ingest import read_flow_csv, split_windows, window_fields
-from .model import DetectionMethod, MetricKind, WindowConfig, check_int
+from .model import DetectionMethod, MetricKind, WindowConfig, check_float, check_int
 from .ranktest import alarm_order
 from .synth import SynthConfig, generate, read_dense_csv, write_dense_csv
 
@@ -196,13 +196,12 @@ def cmd_fisher(args: argparse.Namespace) -> int:
         )
     check_int("--mc", args.mc, 2)
     check_int("--seed", args.seed, 0)
-    _check_theta(args.theta)
+    check_float("--theta", args.theta, 0, 1)
     check_int("--grid", args.grid, MIN_GRID)
     if args.grid & (args.grid - 1):
         raise UsageError("--grid must be a power of two")
+    check_float("--dtheta-frac", args.dtheta_frac, 0, 1)
     dtheta = args.dtheta_frac * args.theta
-    if not 0.0 < dtheta < args.theta:
-        raise UsageError("--dtheta-frac must lie in (0, 1)")
     density = BUILTIN_DENSITIES[args.density]
     dims = _parse_list(args.dims, int, "dims")
     for dim in dims:

@@ -23,12 +23,13 @@ density + finite differences) and provides the two asymptotic targets.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .model import check_int
+from .model import check_float, check_int
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -44,7 +45,8 @@ class FisherMethod(enum.Enum):
 
 
 class ResolutionError(RuntimeError):
-    """A numerical grid or quadrature rule was too coarse for the density."""
+    """A numerical grid or quadrature rule was too coarse for the density, or
+    float64 cannot hold a quantity of the study at this theta."""
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,17 @@ class FisherEstimate:
     method: FisherMethod
 
 
+# both polynomials vanish at 0 and 1, so a point outside [0, 1] is clipped to the
+# nearer end, where they read 0: evaluated far outside, they would overflow
+
 def _beta33_pdf(x: ArrayLike) -> ArrayLike:
-    x = np.asarray(x, dtype=np.float64)
-    return np.where((x >= 0.0) & (x <= 1.0), 30.0 * x * x * (1.0 - x) * (1.0 - x), 0.0)
+    xc = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    return 30.0 * xc * xc * (1.0 - xc) * (1.0 - xc)
 
 
 def _beta33_pdf_deriv(x: ArrayLike) -> ArrayLike:
-    x = np.asarray(x, dtype=np.float64)
-    return np.where((x >= 0.0) & (x <= 1.0), 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x), 0.0)
+    xc = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    return 60.0 * xc * (1.0 - xc) * (1.0 - 2.0 * xc)
 
 
 def _beta33_cdf(x: ArrayLike) -> ArrayLike:
@@ -111,9 +116,11 @@ BUILTIN_DENSITIES: dict[str, ToyDensity] = {
 }
 
 
-def _check_theta(theta: float) -> None:
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
+def _finite(value: float, what: str, theta: float) -> float:
+    """`value`, or a ResolutionError if float64 could not hold it."""
+    if not math.isfinite(value):
+        raise ResolutionError(f"{what} at theta={theta:g} overflows float64")
+    return value
 
 
 def limit_info_max(d: ToyDensity, theta: float) -> float:
@@ -126,11 +133,10 @@ def limit_info_max(d: ToyDensity, theta: float) -> float:
     nodes on [theta, 1], exact for a polynomial density such as Beta(3, 3),
     integrate those; ResolutionError if they differ by over 1e-10 relative.
     The check cannot see a kink within about 1e-4 above theta: no node
-    of either rule falls between theta and such a kink.
+    of either rule falls between theta and such a kink. At a theta so
+    small that the limit overflows float64, a ResolutionError.
     """
-    _check_theta(theta)
-    const = theta * float(d.score_ratio(theta))
-    weight_below = float(d.cdf(theta))
+    check_float("theta", theta, 0, 1)
     half = 0.5 * (1.0 - theta)
     moments = []
     for nodes in (32, 64):
@@ -143,9 +149,13 @@ def limit_info_max(d: ToyDensity, theta: float) -> float:
     coarse, fine = moments
     if not np.all(np.abs(fine - coarse) <= 1e-10 * np.abs(fine)):
         raise ResolutionError(f"moments above theta={theta:g} differ between 32 and 64 nodes")
-    m1 = float(fine[0]) + const * weight_below
-    m2 = float(fine[1]) + const * const * weight_below
-    return (m2 - m1 * m1) / (theta * theta)
+    # the moments of g are those above theta plus (const, const^2) times the mass
+    # below it. At a tiny theta (p'/p)(theta) overflows, theta * theta underflows
+    # to 0 and the limit overflows: each leaves a value that is not finite
+    with np.errstate(all="ignore"):
+        const = theta * d.score_ratio(theta)
+        m1, m2 = fine + np.array([const, const * const]) * d.cdf(theta)
+        return _finite(float((m2 - m1 * m1) / (theta * theta)), "the information limit", theta)
 
 
 def info_sum_target(d: ToyDensity, theta: float, dim: int) -> float:
@@ -192,11 +202,14 @@ def estimate_info_max(
     Draws the max of D-1 plain values and one value stretched by
     1/theta, evaluates the analytic score there, and reports the sample
     variance of the score. Deterministic in the seed (fixed chunking).
+    Where the limit or the variance overflows float64, a ResolutionError.
     """
-    _check_theta(theta)
+    check_float("theta", theta, 0, 1)
     check_int("dim", dim, 2)
     check_int("n_mc", n_mc, 2)
     check_int("seed", seed, 0)
+    # first: at a theta where the limit overflows, so would the draws and their scores
+    target = limit_info_max(d, theta)
     rng = np.random.default_rng(seed)
     # bound the (chunk, dim-1) sample block to ~4M draws
     chunk = max(1, (1 << 22) // (dim - 1))
@@ -209,12 +222,13 @@ def estimate_info_max(
         ys[filled : filled + m] = np.maximum(plain, scaled)
         filled += m
     scores = _max_score(d, theta, dim, ys)
-    value = float(np.var(scores, ddof=1))
+    with np.errstate(over="ignore"):  # an overflow is rejected, not warned about
+        value = _finite(float(np.var(scores, ddof=1)), "the score variance", theta)
     return FisherEstimate(
         dim=dim,
         theta=theta,
         value=value,
-        target=limit_info_max(d, theta),
+        target=target,
         method=FisherMethod.MAX_ANALYTIC,
     )
 
@@ -247,18 +261,18 @@ def estimate_info_sum(
     log-density in theta; the information is the score-squared integral
     against the density. Raises ResolutionError when the grid is too
     coarse (negative ringing mass above 1e-6 or total mass off by more
-    than 1e-6).
+    than 1e-6), or when 1/theta overflows float64.
     """
-    _check_theta(theta)
+    check_float("theta", theta, 0, 1)
     check_int("dim", dim, 2)
     check_int("grid_n", grid_n, MIN_GRID)
     if grid_n & (grid_n - 1):
         raise ValueError("grid_n must be a power of two")
-    if dtheta is None:
-        dtheta = 1e-4 * theta
-    if not 0.0 < dtheta < theta:
-        raise ValueError("dtheta must be positive and small against theta")
-    span = (dim - 1) + 1.0 / theta
+    # before dtheta: where 1e-4 * theta underflows to 0, 1/theta has overflowed (to
+    # inf, with no warning, for a Python float)
+    span = _finite((dim - 1) + 1.0 / float(theta), "the grid span", theta)
+    dtheta = 1e-4 * theta if dtheta is None else dtheta
+    check_float("dtheta", dtheta, 0, theta)
     step = span / grid_n
     xs = np.arange(grid_n) * step
     base = np.asarray(d.pdf(xs))

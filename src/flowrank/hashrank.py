@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import WindowBatch, check_int
+from .model import WindowBatch, as_int64, check_int
 from .ranktest import Scores, statistic_batch
 
 MERSENNE_PRIME = (1 << 61) - 1
@@ -44,9 +44,7 @@ class HashCoefficients:
     k_buckets: int
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a)
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ValueError("coefficients must be integers")
+        a = as_int64(self.a, "coefficients")
         if a.ndim != 2 or a.shape[1] != 4 or not a.shape[0]:
             raise ValueError("coefficients must be L x 4, with L >= 1")
         if a.min() < 0 or a.max() >= MERSENNE_PRIME:
@@ -103,7 +101,7 @@ def hash_buckets(coeffs: HashCoefficients, keys: np.ndarray) -> np.ndarray:
     keys are reduced modulo p with Python's sign convention, then each
     row's cubic runs Horner's rule with exact multiply-mod.
     """
-    x = np.mod(np.asarray(keys, dtype=np.int64), MERSENNE_PRIME).astype(np.uint64)
+    x = np.mod(as_int64(keys, "keys"), MERSENNE_PRIME).astype(np.uint64)
     a = coeffs.a
     acc = np.broadcast_to(a[:, 3:], (coeffs.l_rows, x.size))
     for j in (2, 1, 0):

@@ -192,8 +192,9 @@ def _convert(lines: list[str]) -> FlowColumns:
 def _reduce(lines: list[str]) -> bytes:
     """What is left of each line, the lines separated by `_SEP`."""
     left = _SEP.join(lines).encode("ascii", "replace").translate(None, _FIELD_BYTES)
-    if left.count(_SEP.encode()) >= len(lines):  # a line holds DEL itself
-        return _reduce([line.replace(_SEP, "?") for line in lines])
+    if left.count(_SEP.encode()) >= len(lines):  # a line holds DEL itself, or there is no line
+        lines = [line.replace(_SEP, "?") for line in lines]
+        left = _SEP.join(lines).encode("ascii", "replace").translate(None, _FIELD_BYTES)
     return left
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -68,6 +68,18 @@ def check_int(name: str, value, least: int, most: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be at most {most}")
 
 
+def check_float(name: str, value, low: float, high: float) -> None:
+    """Reject a real argument that is not a number in the open interval (low, high).
+
+    Python and numpy reals, integers among them, pass; a bool, None, a
+    string or an array is a ValueError, as is NaN or a value out of range.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number")
+    if not low < value < high:
+        raise ValueError(f"{name} must lie in ({low}, {high})")
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Observation-window geometry and detection parameters.
@@ -88,17 +100,14 @@ class WindowConfig:
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
+        check_float("delta", self.delta, 0, math.inf)
         check_int("bins_per_window", self.bins_per_window, 2, MAX_BINS)
-        if not math.isfinite(self.window_seconds):
-            raise ValueError("delta * bins_per_window must be finite")
+        check_float("delta * bins_per_window", self.window_seconds, 0, math.inf)
         check_int("top_m", self.top_m, 1)
         check_int("keep_mprime", self.keep_mprime, 1, self.top_m)
         if self.budget is not None:
             check_int("budget", self.budget, 1)
-        if not 0.0 < self.level_alpha < 1.0:
-            raise ValueError("level_alpha must be in (0, 1)")
+        check_float("level_alpha", self.level_alpha, 0, 1)
 
     @property
     def window_seconds(self) -> float:
@@ -124,8 +133,8 @@ class WindowBatch:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = _as_int64(self.keys, "keys")
-        counts = _as_int64(self.counts, "bin counts")
+        keys = as_int64(self.keys, "keys")
+        counts = as_int64(self.counts, "bin counts")
         if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
         if np.any(keys[1:] <= keys[:-1]):
@@ -146,9 +155,10 @@ class WindowBatch:
         """The window of `bins` bins whose cell (key, bin) sums the values given to it.
 
         `keys`, `bins0` (0-based, below `bins`) and `values` (in [0, 2^32)) are
-        aligned int64 arrays in any order, else a ValueError; keys with no positive
-        value are omitted.
+        aligned integer arrays in any order, else a ValueError; keys with no
+        positive value are omitted.
         """
+        keys, bins0, values = map(as_int64, (keys, bins0, values), ("keys", "bins0", "values"))
         if not keys.shape == bins0.shape == values.shape == (keys.size,):
             raise ValueError("keys, bins0 and values must be aligned 1-D arrays")
         if keys.size and not (0 <= bins0.min() and bins0.max() < bins):
@@ -171,8 +181,11 @@ class WindowBatch:
         return self.keys.size
 
 
-def _as_int64(values, what: str) -> np.ndarray:
-    """Integer `values` of any width as int64: an owning int64 array as is, else a copy."""
+def as_int64(values, what: str) -> np.ndarray:
+    """Integer `values` of any width as int64: an owning int64 array as is, else a copy.
+
+    Values that are not integers (floats, bools) or do not fit int64 are a ValueError.
+    """
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if arr.size and (kind not in "iu" or kind == "u" and arr.max() > np.iinfo(np.int64).max):

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import MAX_BINS
+from .model import MAX_BINS, check_float
 
 # Truncation tolerance for the alternating tail series.
 _TERM_TOL = 1e-12
@@ -297,7 +297,6 @@ def statistic(series: CensoredSeries) -> TestOutcome:
 
 def alarm_order(scores: Scores, level_alpha: float) -> np.ndarray:
     """Indices of the keys with `p_alarm < level_alpha`, by reported p-value then key."""
-    if not 0.0 < level_alpha < 1.0:
-        raise ValueError("level_alpha must be in (0, 1)")
+    check_float("level_alpha", level_alpha, 0, 1)
     hit = np.flatnonzero(scores.p_alarm < level_alpha)
     return hit[np.lexsort((scores.keys[hit], scores.p_report[hit]))]

@@ -16,7 +16,7 @@ from typing import IO, Callable, Optional, Union
 
 import numpy as np
 
-from .model import MAX_BINS, U32_MAX, WindowBatch, check_int
+from .model import MAX_BINS, U32_MAX, WindowBatch, check_float, check_int
 
 DENSE_HEADER = "key,bin,count"
 _INT64 = np.iinfo(np.int64)
@@ -57,15 +57,11 @@ class SynthConfig:
         check_int("dim", self.dim, 0, _MASK32)
         check_int("seed", self.seed, 0)
         check_int("bins", self.bins, 2, MAX_BINS)
-        # each range test also rejects nan
-        if not 1 < self.pareto_shape < math.inf:
-            raise ValueError("pareto_shape must be finite and exceed 1 (finite mean)")
-        if not 0 < self.pareto_scale < math.inf:
-            raise ValueError("pareto_scale must be positive and finite")
+        check_float("pareto_shape", self.pareto_shape, 1, math.inf)  # a finite mean
+        check_float("pareto_scale", self.pareto_scale, 0, math.inf)
         check_int("change_rank", self.change_rank, 1, self.dim or None)
         check_int("change_bin", self.change_bin, 1, self.bins - 1)
-        if not 0 < self.factor < math.inf:
-            raise ValueError("factor must be positive and finite")
+        check_float("factor", self.factor, 0, math.inf)
         # numpy integers become Python ints, so `dim + 1` or `seed + run` cannot wrap
         for name in ("dim", "seed", "bins", "change_rank", "change_bin"):
             object.__setattr__(self, name, int(getattr(self, name)))

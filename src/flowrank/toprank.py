@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import WindowBatch, WindowConfig, check_int
+from .model import WindowBatch, WindowConfig, as_int64, check_int
 from .ranktest import NEVER_TESTED, Scores, statistic_batch
 
 
@@ -82,9 +82,9 @@ def censor(
     Returns x int64[C, P] and observed bool[C, P], line c for rows[c].
     Bins where a row was retained carry its true count and an observed
     flag; elsewhere the bin carries the table's censor bound as an
-    upper bound.
+    upper bound. `rows` that are not integers in 0..N-1 are a ValueError.
     """
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    rows = as_int64(rows, "rows").reshape(-1)
     if rows.size and not 0 <= rows.min() <= rows.max() < batch.num_keys:
         raise ValueError(f"rows must lie in 0..{batch.num_keys - 1}")
     # kept[r, t]: batch row r is retained in bin t+1; a table's -1 (no

@@ -384,6 +384,11 @@ def tiny_flows(tmp_path_factory):
 @given(option_argv())
 @example(["detect", "--method", "hashrank", "--buckets", str(10**20)])
 @example(["roc", "--buckets", str(10**20)])
+# a theta so small that float64 cannot carry the study
+@example(["fisher", "--theta", "1e-320"])
+@example(["fisher", "--theta", "1e-308"])
+@example(["fisher", "--theta", "1e-200"])
+@example(["fisher", "--theta", "1e-160"])
 def test_any_option_value_exits_0_1_or_2_with_a_flowrank_line(tiny_flows, argv):
     out_dir = tiny_flows.parent / "out"
     for stale in out_dir.iterdir():

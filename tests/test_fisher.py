@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +302,25 @@ def test_estimate_info_sum_raises_when_the_scaled_component_misses_the_grid():
     shifted = dataclasses.replace(D33, pdf=lambda x: D33.pdf(np.asarray(x) - 2.0))
     with pytest.raises(ResolutionError, match="scaled component has no mass"):
         estimate_info_sum(shifted, 0.5, 2, grid_n=1 << 14)
+
+
+# subnormal, near 2^-1022, where the limit overflows (1e-154), where only the
+# variance of the scores does (3e-154), and where the sum's grid misses p (1e-100)
+@pytest.mark.parametrize("theta", [5e-324, 1e-320, 1e-308, 1e-200, 1e-160, 1e-154, 3e-154,
+                                   1e-150, 1e-100, 1e-10, 1e-3, np.float64(1e-320)])
+def test_estimators_at_any_theta_are_finite_or_raise_resolution_error(theta):
+    estimators = (
+        lambda: limit_info_max(D33, theta),
+        lambda: estimate_info_max(D33, theta, 4, n_mc=1000).value,
+        lambda: estimate_info_sum(D33, theta, 4, grid_n=1 << 14).value,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate in estimators:
+            try:
+                assert math.isfinite(estimate())
+            except ResolutionError:
+                pass
 
 
 def test_max_info_stays_order_one_while_sum_info_shrinks():

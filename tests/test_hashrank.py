@@ -127,6 +127,12 @@ def test_hash_buckets_match_hash_eval_bit_for_bit():
             assert got[row].tolist() == [hash_eval(a_row, k, x) - 1 for x in keys.tolist()]
 
 
+@pytest.mark.parametrize("keys", [[1.7], np.array([1.0]), [True]])
+def test_hash_buckets_reject_keys_that_are_not_integers(keys):
+    with pytest.raises(ValueError, match="^keys must be integers that fit 64 bits$"):
+        hash_buckets(HashCoefficients([[1, 2, 3, 4]], 17), keys)
+
+
 # --- sample_coefficients -------------------------------------------------
 
 

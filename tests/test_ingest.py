@@ -462,7 +462,8 @@ def screen_elements(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(screen_elements(), min_size=1, max_size=8))  # a chunk has a line
+@given(st.lists(screen_elements(), max_size=8))
+@example([])
 @example([VALID, "", "\n", VALID.rstrip()])
 @example([VALID.rstrip(), VALID + VALID, "\x7f" + VALID])
 @example([VALID.replace(",TCP,", ",TCPUDP,"), VALID.replace(",3,", ",,")])

@@ -1,6 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from flowrank import cli
+from flowrank.fisher import (
+    BUILTIN_DENSITIES,
+    MIN_GRID,
+    estimate_info_max,
+    estimate_info_sum,
+    limit_info_max,
+)
 from flowrank.hashrank import build_sketch, sample_coefficients
 from flowrank.ingest import split_windows
 from flowrank.model import (
@@ -8,9 +18,11 @@ from flowrank.model import (
     Protocol,
     WindowBatch,
     WindowConfig,
+    check_float,
     check_int,
 )
-from flowrank.ranktest import CensoredSeries, statistic
+from flowrank.ranktest import CensoredSeries, Scores, alarm_order, statistic
+from flowrank.synth import SynthConfig
 from flowrank.toprank import top_filter
 
 from oracles import FlowRecord, from_records
@@ -128,6 +140,70 @@ def test_check_int_rejects_with_one_text(value, least, most, message):
         check_int("n", value, least, most)
 
 
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(1)])
+def test_check_float_accepts_reals_in_range(value):
+    check_float("x", value, 0, 2)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "x must be a real number"),
+    (np.bool_(True), "x must be a real number"),
+    (None, "x must be a real number"),
+    ("1", "x must be a real number"),
+    (np.array([1.0]), "x must be a real number"),
+    (float("nan"), r"x must lie in \(0, inf\)"),
+    (0, r"x must lie in \(0, inf\)"),
+    (float("inf"), r"x must lie in \(0, inf\)"),
+])
+def test_check_float_rejects_with_one_text(value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_float("x", value, 0, float("inf"))
+
+
+def _fisher(tmp_path, **values):
+    argv = ["fisher", "--dims", "4", "--mc", "100", "--grid", str(MIN_GRID)]
+    args = cli.build_parser().parse_args([*argv, "--output", str(tmp_path / "fisher.csv")])
+    vars(args).update(values)
+    return args.func(args)
+
+
+_D33 = BUILTIN_DENSITIES["beta33"]
+_SCORES = Scores(*(np.zeros(1, dtype) for dtype in (np.int64, float, float, float, np.int64)))
+# every real parameter that `check_float` guards: its name, an in-range value and a call
+CHECK_FLOAT_SITES = {
+    "delta": (2.0, lambda v, _: WindowConfig(delta=v)),
+    "level_alpha": (0.5, lambda v, _: WindowConfig(level_alpha=v)),
+    "alarm_order level_alpha": (0.5, lambda v, _: alarm_order(_SCORES, v)),
+    "pareto_shape": (2.0, lambda v, _: SynthConfig(pareto_shape=v)),
+    "pareto_scale": (2.0, lambda v, _: SynthConfig(pareto_scale=v)),
+    "factor": (2.0, lambda v, _: SynthConfig(factor=v)),
+    "limit_info_max theta": (0.5, lambda v, _: limit_info_max(_D33, v)),
+    "estimate_info_max theta": (0.5, lambda v, _: estimate_info_max(_D33, v, 4, n_mc=100)),
+    "estimate_info_sum theta": (0.5, lambda v, _: estimate_info_sum(_D33, v, 4, MIN_GRID)),
+    "dtheta": (0.01, lambda v, _: estimate_info_sum(_D33, 0.5, 4, MIN_GRID, dtheta=v)),
+    "--theta": (0.5, lambda v, tmp: _fisher(tmp, theta=v)),
+    "--dtheta-frac": (0.5, lambda v, tmp: _fisher(tmp, dtheta_frac=v)),
+}
+
+NOT_REALS_IN_RANGE = {"True": True, "str": "1", "None": None, "array": np.array([1.0, 2.0]),
+                      "nan": float("nan"), "inf": float("inf")}
+
+
+# a dtheta of None asks for the default
+@pytest.mark.parametrize("site, bad", [(site, bad) for site in sorted(CHECK_FLOAT_SITES)
+                                       for bad in NOT_REALS_IN_RANGE if (site, bad) != ("dtheta", "None")])
+def test_check_float_sites_reject_what_is_not_a_real_in_range(site, bad, tmp_path):
+    name = site.split()[-1]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must (be a real number|lie in)"):
+        CHECK_FLOAT_SITES[site][1](NOT_REALS_IN_RANGE[bad], tmp_path)
+
+
+@pytest.mark.parametrize("site", sorted(CHECK_FLOAT_SITES))
+def test_check_float_sites_pass_a_value_in_range(site, tmp_path):
+    good, call = CHECK_FLOAT_SITES[site]
+    call(good, tmp_path)
+
+
 def test_window_config_defaults_and_span():
     cfg = WindowConfig()
     assert (cfg.delta, cfg.bins_per_window, cfg.top_m, cfg.keep_mprime) == (1.0, 60, 10, 1)
@@ -210,6 +286,23 @@ def test_from_cells_checks_its_cells():
             WindowBatch.from_cells(0, 0.0, *cells, 5)
     empty = np.zeros(0, dtype=np.int64)
     assert WindowBatch.from_cells(0, 0.0, empty, empty, empty, 5).num_keys == 0
+
+
+@pytest.mark.parametrize("cells, name", [
+    (([1], [0], [1.5]), "values"),
+    (([1], [0], [True]), "values"),
+    (([1], [0.0], [1]), "bins0"),
+    (([1.5], [0], [1]), "keys"),
+    (([2**63], [0], [1]), "keys"),
+])
+def test_from_cells_rejects_cells_that_are_not_int64(cells, name):
+    with pytest.raises(ValueError, match=f"^{name} must be integers that fit 64 bits$"):
+        WindowBatch.from_cells(0, 0.0, *map(np.array, cells), 5)
+
+
+def test_from_cells_takes_lists():
+    batch = WindowBatch.from_cells(3, 1.5, [2, 1, 2], [0, 1, 0], [3, 4, 5], 2)
+    assert batch.keys.tolist() == [1, 2] and batch.counts.tolist() == [[0, 4], [8, 0]]
 
 
 def _small_batch():

@@ -161,6 +161,14 @@ def test_censor_rows_outside_the_window_are_an_error():
             censor(batch, table, rows)
 
 
+@pytest.mark.parametrize("rows", [[1.7], [True], np.array([0.0])])
+def test_censor_rows_that_are_not_integers_are_an_error(rows):
+    batch = batch_from_matrix({1: [1, 2], 2: [3, 4]}, bins=2)
+    table = top_filter(batch, WindowConfig(bins_per_window=2, top_m=1))
+    with pytest.raises(ValueError, match="^rows must be integers that fit 64 bits$"):
+        censor(batch, table, rows)
+
+
 def test_censoring_soundness_on_random_batches():
     rng = np.random.default_rng(7)
     for _ in range(20):
