@@ -25,7 +25,6 @@ from . import __version__
 from .evaluate import DEFAULT_THRESHOLDS, roc, scorer
 from .fisher import BUILTIN_DENSITIES, MIN_GRID, ResolutionError
 from .fisher import estimate_info_max, estimate_info_sum
-from .hashrank import check_sketch, sample_coefficients
 from .ingest import read_flow_csv, split_windows, window_fields
 from .model import DetectionMethod, MetricKind, WindowConfig, check_float, check_int
 from .ranktest import alarm_order
@@ -108,22 +107,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
             metric=_METRICS[args.metric],
             budget=args.budget,
         )
-        # the per-key scorer `roc` sweeps; `alarm_order` thresholds it. Every
-        # method checks the sketch options, but only HashRank draws hashes
-        check_sketch(args.seed, args.rows, args.buckets)
-        hashes = method is DetectionMethod.HASHRANK
-        coeffs = sample_coefficients(args.seed, args.rows, args.buckets) if hashes else None
-        score = scorer(method, cfg, coeffs)
+        score = scorer(method, cfg, args.seed, args.rows, args.buckets)
     except (ValueError, MemoryError) as exc:
         raise UsageError(str(exc)) from None
     skipped: Counter = Counter()
     if args.format == "dense":
-        batch, _truth = read_dense_csv(args.input, args.window)
-        batches = [batch]
+        batches = [read_dense_csv(args.input, args.window)]
     else:
-        policy = "raise" if args.errors == "abort" else "skip"
         fields = window_fields(cfg.metric)
-        columns = read_flow_csv(args.input, errors=policy, skipped=skipped, fields=fields)
+        columns = read_flow_csv(args.input, errors=args.errors, skipped=skipped, fields=fields)
         batches = split_windows(columns, cfg)
     rows = []
     for batch in batches:
@@ -202,6 +194,8 @@ def cmd_fisher(args: argparse.Namespace) -> int:
         raise UsageError("--grid must be a power of two")
     check_float("--dtheta-frac", args.dtheta_frac, 0, 1)
     dtheta = args.dtheta_frac * args.theta
+    # the product may underflow; checked here, before any estimator runs
+    check_float("--dtheta-frac * --theta", dtheta, 0, args.theta)
     density = BUILTIN_DENSITIES[args.density]
     dims = _parse_list(args.dims, int, "dims")
     for dim in dims:

@@ -2,28 +2,29 @@
 
 `scorer` is the one place that maps a `DetectionMethod` to its per-key
 scorer (`score_window` of `toprank` or `hashrank`, or
-`score_comprehensive`); `detect` thresholds that scorer's alarm p-values
-and `roc` sweeps them. Each ROC run generates one fresh dataset with one
-injected change and scores it with every method asked for; sweeping a
-decision threshold over the alarm p-values then yields each method's
-false-alarm and detection rates, averaged over runs.
-Runs are seeded individually (data with base+run, hash coefficients
-with base+HASH_SEED_OFFSET+run) and run one after another on the calling
-thread, in run order. Each run adds its rates into running sums, so
-memory does not grow with the number of runs. The runs hold the GIL, so
-threads would not overlap them.
+`score_comprehensive`), and the one place that draws HashRank's hashes;
+`detect` thresholds that scorer's alarm p-values and `roc` sweeps them.
+Each ROC run generates one fresh dataset with one injected change and
+scores it with every method asked for; sweeping a decision threshold
+over the alarm p-values then yields each method's false-alarm and
+detection rates, averaged over runs.
+Runs are seeded individually (data with base+run, HashRank's hash
+coefficients with base+HASH_SEED_OFFSET+run) and run one after another
+on the calling thread, in run order. Each run adds its rates into
+running sums, so memory does not grow with the number of runs. The runs
+hold the GIL, so threads would not overlap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import hashrank, toprank
-from .hashrank import HashCoefficients, sample_coefficients
+from .hashrank import check_sketch, sample_coefficients
 from .model import DetectionMethod, WindowBatch, WindowConfig, check_int
 from .ranktest import Scores, statistic_batch
 from .synth import SynthConfig, generate
@@ -48,15 +49,17 @@ def score_comprehensive(batch: WindowBatch) -> Scores:
 
 
 def scorer(
-    method: DetectionMethod, cfg: WindowConfig, coeffs: Optional[HashCoefficients]
+    method: DetectionMethod, cfg: WindowConfig, seed: int, l_rows: int, k_buckets: int
 ) -> Callable[[WindowBatch], Scores]:
     """The per-key scorer of `method`: TopRank filters with `cfg`, its
-    candidate budget included, HashRank sketches with `coeffs` (which
-    only it reads), Comprehensive tests every key."""
+    candidate budget included, HashRank sketches with the `l_rows` x
+    `k_buckets` hashes drawn from `seed`, Comprehensive tests every key.
+    Every method checks the sketch arguments; only HashRank draws hashes."""
+    check_sketch(seed, l_rows, k_buckets)
     if method is DetectionMethod.TOPRANK:
         return partial(toprank.score_window, cfg=cfg)
     if method is DetectionMethod.HASHRANK:
-        return partial(hashrank.score_window, coeffs=coeffs)
+        return partial(hashrank.score_window, coeffs=sample_coefficients(seed, l_rows, k_buckets))
     if method is DetectionMethod.COMPREHENSIVE:
         return score_comprehensive
     raise ValueError(f"unknown method {method!r}")
@@ -106,10 +109,11 @@ def roc(
     fa_sum = np.zeros((len(methods), len(thr)))
     det_sum = np.zeros((len(methods), len(thr)))
     for r in range(runs):
-        # drawn before the data, so run 0 rejects bad sketch sizes before any draw
-        coeffs = sample_coefficients(cfg.seed + HASH_SEED_OFFSET + r, l_rows, k_buckets)
+        # built before the data, so run 0 rejects bad sketch sizes before any draw
+        seed = cfg.seed + HASH_SEED_OFFSET + r
+        scorers = [scorer(m, wcfg, seed, l_rows, k_buckets) for m in methods]
         batch = generate(replace(cfg, seed=cfg.seed + r))
-        p_alarm = np.stack([scorer(m, wcfg, coeffs)(batch).p_alarm for m in methods])
+        p_alarm = np.stack([score(batch).p_alarm for score in scorers])
         det_sum += p_alarm[:, at, None] < thr_arr
         others = np.delete(p_alarm, at, axis=1)
         # a one-key window has no other keys and so no false alarms

@@ -161,12 +161,16 @@ def limit_info_max(d: ToyDensity, theta: float) -> float:
 def info_sum_target(d: ToyDensity, theta: float, dim: int) -> float:
     """Asymptotic information of the sum observation: mu^2/(theta^4 sigma^2 D).
 
-    Defined up to and including theta = 1 (no stretching).
+    Defined up to and including theta = 1 (no stretching). At a theta so
+    small that theta^4 underflows or the target overflows float64, a
+    ResolutionError.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     check_int("dim", dim, 2)
-    return d.mean_mu**2 / (theta**4 * d.var_sigma2 * dim)
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite target is rejected
+        target = np.float64(d.mean_mu**2) / (theta**4 * d.var_sigma2 * dim)
+    return _finite(float(target), "the sum information target", theta)
 
 
 def _max_score(

@@ -281,20 +281,20 @@ def _read_chunk(
 
 def read_flow_csv(
     source: Union[str, IO[str], Iterable[str]],
-    errors: str = "raise",
+    errors: str = "abort",
     skipped: Optional[Counter] = None,
     fields: Collection[str] = FLOW_COLUMNS,
 ) -> FlowColumns:
     """Read a flow CSV (path, file object or line iterable) into columns.
 
-    `errors` selects the policy for bad lines: "raise" aborts on the
-    first one, "skip" drops them and, when `skipped` is given, counts
+    `errors` selects the policy for bad lines: "abort" raises the first
+    one, "skip" drops them and, when `skipped` is given, counts
     them there by `ParseError.reason`. Blank lines are ignored. Every
     field of a line is read and checked, whatever `fields` names, but
     only the named fields are kept; the others are None.
     """
-    if errors not in ("raise", "skip"):
-        raise ValueError('errors must be "raise" or "skip"')
+    if errors not in ("abort", "skip"):
+        raise ValueError('errors must be "abort" or "skip"')
     unknown = set(fields) - set(FLOW_COLUMNS)
     if unknown:
         raise ValueError(f"not flow fields: {sorted(unknown)}")
@@ -312,7 +312,7 @@ def read_flow_csv(
     line_no = 2
     while chunk := list(islice(lines, CHUNK_LINES)):
         records, bad = _read_chunk(chunk, line_no, fields)
-        if bad and errors == "raise":  # abort before reading the next chunk
+        if bad and errors == "abort":  # before reading the next chunk
             raise bad.pop(0)  # popped: this frame, in its traceback, must not hold it
         if skipped is not None:
             skipped.update(exc.reason for exc in bad)
@@ -324,7 +324,7 @@ def read_flow_csv(
 
 def iter_flow_csv(
     source: Union[str, IO[str], Iterable[str]],
-    errors: str = "raise",
+    errors: str = "abort",
 ) -> Iterator[tuple]:
     """Yield the rows of `read_flow_csv(source, errors)` in file order.
 
@@ -347,9 +347,10 @@ METRIC_FIELDS = {
 
 
 def window_fields(metric: MetricKind) -> tuple[str, ...]:
-    """The fields `split_windows` reads for `metric`: `ts_start`, `proto`,
-    and the metric's key and value fields."""
-    return ("ts_start", "proto", *METRIC_FIELDS[metric][1:3])
+    """The fields `split_windows` reads for `metric`: `ts_start`, `proto`
+    if the metric has a protocol, and the metric's key and value fields."""
+    proto, key_field, value_field, _distinct = METRIC_FIELDS[metric]
+    return ("ts_start", *(() if proto is None else ("proto",)), key_field, value_field)
 
 
 def split_windows(columns: FlowColumns, cfg: WindowConfig) -> Iterator[WindowBatch]:

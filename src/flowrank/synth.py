@@ -6,13 +6,17 @@ Poisson at its intensity, and exactly one key switches to a multiple of
 its intensity after a chosen bin. Keys are the 1-based ranks of the
 intensities sorted in decreasing order, so the changed key's rank
 directly controls detection difficulty.
+
+`write_dense_csv` writes a dataset as key,bin,count lines after a
+`# truth:` comment that records the injected change; `read_dense_csv`
+reads the cells back as one window and skips every comment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Optional, Union
+from typing import IO, Callable, Union
 
 import numpy as np
 
@@ -192,34 +196,23 @@ def write_dense_csv(batch: WindowBatch, cfg: SynthConfig, target: Union[str, IO[
         target.write(f"{batch.keys[r]},{c + 1},{batch.counts[r, c]}\n")
 
 
-def read_dense_csv(
-    source: Union[str, IO[str]], bins: int
-) -> tuple[WindowBatch, Optional[dict[str, float]]]:
+def read_dense_csv(source: Union[str, IO[str]], bins: int) -> WindowBatch:
     """Read a dense key,bin,count CSV back into a window batch of `bins` bins.
 
-    Returns the batch and the truth annotation when present. Keys with
-    only zero counts in the file are dropped (they should not appear in
-    a dense file anyway).
+    Blank lines and lines that start with `#`, the truth line that
+    `write_dense_csv` writes among them, are skipped. Keys with only
+    zero counts in the file are dropped (they should not appear in a
+    dense file anyway).
     """
     check_int("bins", bins, 2, MAX_BINS)
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_dense_csv(fh, bins)
-    truth: Optional[dict[str, float]] = None
     cells: list[tuple[int, int, int]] = []
     header_seen = False
     for line_no, line in enumerate(source, start=1):
         text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            if text.startswith("# truth:"):
-                try:
-                    parts = dict(kv.split("=") for kv in text[len("# truth:"):].split(","))
-                    truth = {"i0": int(parts["i0"]), "j0": int(parts["j0"]),
-                             "eta": float(parts["eta"])}
-                except (KeyError, ValueError):
-                    raise ValueError(f"line {line_no}: bad truth line {text!r}") from None
+        if not text or text.startswith("#"):
             continue
         if not header_seen:
             if text != DENSE_HEADER:
@@ -244,4 +237,4 @@ def read_dense_csv(
     key, bin_index, count = np.array(cells, dtype=np.int64).reshape(-1, 3).T
     if cells and bin_index.max() > bins:
         raise ValueError(f"bin index {bin_index.max()} exceeds configured {bins} bins")
-    return WindowBatch.from_cells(0, 0.0, key, bin_index - 1, count, bins), truth
+    return WindowBatch.from_cells(0, 0.0, key, bin_index - 1, count, bins)

@@ -69,7 +69,7 @@ def test_comprehensive_contains_uncensored_toprank_alarms():
 def test_scorer_matches_each_method_scorer(budget):
     rng = np.random.default_rng(19)
     cfg = WindowConfig(bins_per_window=12, top_m=5, keep_mprime=2, budget=budget)
-    coeffs = sample_coefficients(3, 4, 7)
+    coeffs = sample_coefficients(3, 4, 7)  # what HashRank's scorer draws from seed 3
     own = {
         DetectionMethod.TOPRANK: lambda b: toprank.score_window(b, cfg),
         DetectionMethod.HASHRANK: lambda b: hashrank.score_window(b, coeffs),
@@ -81,7 +81,7 @@ def test_scorer_matches_each_method_scorer(budget):
         counts = rng.poisson(rng.uniform(0.5, 9.0, (n, 1)), (n, 12))
         batches.append(WindowBatch(0, 0.0, keys, counts))
     for method in DetectionMethod:
-        score = scorer(method, cfg, coeffs)
+        score = scorer(method, cfg, 3, 4, 7)
         for batch in batches:
             got, want = score(batch), own[method](batch)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -89,7 +89,27 @@ def test_scorer_matches_each_method_scorer(budget):
 
 def test_scorer_rejects_unknown_method():
     with pytest.raises(ValueError):
-        scorer("toprank", WindowConfig(), sample_coefficients(0, 1, 2))
+        scorer("toprank", WindowConfig(), 0, 1, 2)
+
+
+def refuse_draw(*args, **kwargs):
+    raise AssertionError("drew hash coefficients")
+
+
+@pytest.mark.parametrize("method", list(DetectionMethod))
+def test_scorer_checks_the_sketch_before_any_draw(method, monkeypatch):
+    # every method checks the sketch arguments, though only HashRank reads them
+    monkeypatch.setattr(evaluate, "sample_coefficients", refuse_draw)
+    with pytest.raises(ValueError, match="^l_rows must be at least 1$"):
+        scorer(method, WindowConfig(), 0, 0, 17)
+
+
+@pytest.mark.parametrize("methods", [[DetectionMethod.TOPRANK], [DetectionMethod.COMPREHENSIVE],
+                                     [DetectionMethod.TOPRANK, DetectionMethod.COMPREHENSIVE]])
+def test_roc_without_hashrank_draws_no_hashes(methods, monkeypatch):
+    monkeypatch.setattr(evaluate, "sample_coefficients", refuse_draw)
+    points = roc(small_cfg(), *methods, runs=2, budget=24, top_m=10)
+    assert [p.method for p in points] == [m for m in methods for _ in DEFAULT_THRESHOLDS]
 
 
 def small_cfg(seed=0):
@@ -294,14 +314,18 @@ def test_a_count_argument_is_refused_at_the_call_or_scores_the_window(data):
     cfg = _made(lambda: WindowConfig(
         bins_per_window=count("bins_per_window"), top_m=count("top_m"),
         keep_mprime=count("keep_mprime"), budget=budget("budget")), WindowConfig(top_m=3))
-    coeffs = _made(lambda: sample_coefficients(
-        count("coeffs.seed"), count("l_rows"), count("k_buckets")), sample_coefficients(0, 2, 3))
-    coeffs = _made(lambda: HashCoefficients(coeffs.a, count("HashCoefficients.k_buckets")), coeffs)
+    sketch = (count("sketch.seed"), count("l_rows"), count("k_buckets"))
+    coeffs = _made(lambda: HashCoefficients(
+        sample_coefficients(0, 2, 3).a, count("HashCoefficients.k_buckets")), None)
     rows = _made(lambda: candidates(
         top_filter(batch, cfg), count("depth"), budget("candidates.budget")), None)
     assert rows is None or set(rows.tolist()) <= set(range(batch.num_keys))
-    for method in DetectionMethod:
-        scores = scorer(method, cfg, coeffs)(batch)
+    scorers = [_made(lambda: scorer(method, cfg, *sketch), scorer(method, cfg, 0, 2, 3))
+               for method in DetectionMethod]
+    if coeffs is not None:
+        scorers.append(lambda b: hashrank.score_window(b, coeffs))
+    for score in scorers:
+        scores = score(batch)
         assert np.array_equal(scores.keys, batch.keys)
         for column in (scores.p_alarm, scores.p_report, scores.stat, scores.change_bin):
             assert column.shape == batch.keys.shape

@@ -166,6 +166,8 @@ def test_info_sum_target_closed_form():
     # mu^2/(theta^4 sigma^2) = 0.25 * 16 * 28 = 112
     assert info_sum_target(D33, 0.5, 100) == pytest.approx(1.12)
     assert info_sum_target(D33, 1.0, 10) == pytest.approx(0.25 * 28.0 / 10.0)
+    # still finite, and exactly the closed form in float arithmetic
+    assert info_sum_target(D33, 1e-70, 4) == 0.5**2 / (1e-70**4 * (1.0 / 28.0) * 4)
 
 
 def test_info_sum_target_validates_arguments():
@@ -305,12 +307,15 @@ def test_estimate_info_sum_raises_when_the_scaled_component_misses_the_grid():
 
 
 # subnormal, near 2^-1022, where the limit overflows (1e-154), where only the
-# variance of the scores does (3e-154), and where the sum's grid misses p (1e-100)
+# variance of the scores does (3e-154), where the sum's grid misses p (1e-100),
+# and where the sum's target overflows (1e-78) or theta^4 underflows (1e-82)
 @pytest.mark.parametrize("theta", [5e-324, 1e-320, 1e-308, 1e-200, 1e-160, 1e-154, 3e-154,
-                                   1e-150, 1e-100, 1e-10, 1e-3, np.float64(1e-320)])
+                                   1e-150, 1e-100, 1e-82, 1e-78, 1e-10, 1e-3,
+                                   np.float64(1e-320), np.float64(1e-82)])
 def test_estimators_at_any_theta_are_finite_or_raise_resolution_error(theta):
     estimators = (
         lambda: limit_info_max(D33, theta),
+        lambda: info_sum_target(D33, theta, 4),
         lambda: estimate_info_max(D33, theta, 4, n_mc=1000).value,
         lambda: estimate_info_sum(D33, theta, 4, grid_n=1 << 14).value,
     )

@@ -87,9 +87,10 @@ def test_iter_flow_csv_skip_policy():
     assert len(records) == 2
     src = csv_of([flow_line(0.0), "garbage,line"])
     with pytest.raises(ParseError):
-        list(iter_flow_csv(src, errors="raise"))
-    with pytest.raises(ValueError, match='errors must be "raise" or "skip"'):
-        read_flow_csv(csv_of([flow_line(0.0)]), errors="bogus")
+        list(iter_flow_csv(src, errors="abort"))
+    for policy in ("bogus", "raise"):
+        with pytest.raises(ValueError, match='^errors must be "abort" or "skip"$'):
+            read_flow_csv(csv_of([flow_line(0.0)]), errors=policy)
 
 
 @pytest.mark.parametrize("bad_ts", ["nan", "inf", "-inf", "1e300"])
@@ -787,8 +788,10 @@ UNKEPT_DEFECTS = [
 
 @pytest.mark.parametrize("metric", list(MetricKind))
 def test_kept_fields_match_the_all_fields_read(metric):
-    # the file's only defects sit in fields the metric does not keep
+    # the file's only defects sit in fields the metric does not keep;
+    # netscan keys on any protocol, so it does not keep proto
     fields = window_fields(metric)
+    assert ("proto" in fields) == (metric is not MetricKind.NET_SCAN)
     defects = [line for touched, line in UNKEPT_DEFECTS if not touched & set(fields)]
     assert len(defects) >= 4
     lines = [flow_line(t / 3, dst_ip=t % 5, src_ip=t % 7, dst_port=t % 4,

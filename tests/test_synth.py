@@ -232,8 +232,7 @@ def test_dense_csv_round_trip():
     text = buf.getvalue()
     assert text.startswith("# truth:i0=3,j0=5,eta=4\n")
     assert text.splitlines()[1] == "key,bin,count"
-    read, truth = read_dense_csv(io.StringIO(text), bins=10)
-    assert truth == {"i0": 3, "j0": 5, "eta": 4.0}
+    read = read_dense_csv(io.StringIO(text), bins=10)
     # keys absent from the file are the all-zero rows
     alive = batch.counts.any(axis=1)
     assert np.array_equal(read.keys, batch.keys[alive])
@@ -243,11 +242,11 @@ def test_dense_csv_round_trip():
 def test_dense_csv_sums_duplicate_lines_and_drops_zero_keys():
     # blank lines are skipped
     text = "key,bin,count\n7,2,3\n\n-4,1,0\n7,2,5\n  \n2,3,1\n7,1,1\n9,1,0\n-4,3,0\n"
-    batch, truth = read_dense_csv(io.StringIO(text), bins=3)
-    assert truth is None and batch.bins == 3
+    batch = read_dense_csv(io.StringIO(text), bins=3)
+    assert batch.bins == 3
     assert batch.keys.tolist() == [2, 7]
     assert batch.counts.tolist() == [[0, 0, 1], [1, 8, 0]]
-    empty, _ = read_dense_csv(io.StringIO("key,bin,count\n"), bins=4)
+    empty = read_dense_csv(io.StringIO("key,bin,count\n"), bins=4)
     assert (empty.num_keys, empty.bins) == (0, 4)
 
 
@@ -263,12 +262,22 @@ def test_dense_csv_validation():
 
 
 @pytest.mark.parametrize("row", ["1,2,100000000000000000000", "1,2,4294967296", "1,x,5", "1,2",
-                                 "1,2,1e3", "99999999999999999999,2,5",
-                                 # truth lines: a missing key, a pair without '=', a non-number
-                                 "# truth:a=1", "# truth:garbage", "# truth:i0=1,j0=x,eta=2"])
+                                 "1,2,1e3", "99999999999999999999,2,5"])
 def test_dense_csv_bad_numbers_name_their_line(row):
     with pytest.raises(ValueError, match="^line 3: "):
         read_dense_csv(io.StringIO(f"key,bin,count\n1,1,1\n{row}\n"), bins=10)
+
+
+@pytest.mark.parametrize("comment", ["# truth:i0=1,j0=2,eta=3", "# truth:a=1", "# truth:garbage",
+                                     "# truth:i0=1,j0=x,eta=2", "#1,2,3", "# key,bin,count"])
+def test_dense_csv_comment_lines_hold_anything(comment):
+    # the truth line is a comment like any other: the reader skips it
+    text = "key,bin,count\n1,1,1\n4,2,3\n"
+    want = read_dense_csv(io.StringIO(text), bins=10)
+    for at in (0, len("key,bin,count\n"), len(text)):
+        got = read_dense_csv(io.StringIO(f"{text[:at]}{comment}\n{text[at:]}"), bins=10)
+        assert got.keys.tobytes() == want.keys.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
 
 
 def test_bins_beyond_two_to_the_21_rejected():
@@ -276,7 +285,7 @@ def test_bins_beyond_two_to_the_21_rejected():
     assert SynthConfig(bins=2**21, change_bin=1).bins == 2**21
     with pytest.raises(ValueError, match="^bins must be at most 2097152$"):
         SynthConfig(bins=2**21 + 1, change_bin=1)
-    empty, _ = read_dense_csv(io.StringIO("key,bin,count\n"), bins=2**21)
+    empty = read_dense_csv(io.StringIO("key,bin,count\n"), bins=2**21)
     assert empty.counts.shape == (0, 2**21)
     with pytest.raises(ValueError, match="^bins must be at least 2$"):
         read_dense_csv(io.StringIO("key,bin,count\n1,1,1\n"), bins=1)
